@@ -14,7 +14,7 @@ from .scalar import (ScalarThresholdParams, ThresholdRegime, critical_lambda_mu,
 from .matrix import (SvdFactors, compute_svd, ky_fan_norm, numerical_rank,
                      partial_trace, shrinkage_identity, singular_values,
                      threshold_spectrum, ts1_penalty, ts1_prox_matrix)
-from .sampling import ObjectiveContext, SamplingOperator, estimate_operator_norm
+from .sampling import ObjectiveContext, SamplingOperator
 from .problems import (Descriptors, GenParams, GroundTruth, MaskedMatrix,
                        add_noise, fr_display, gen_gaussian_lowrank,
                        image_to_lowrank_truth, make_descriptors,

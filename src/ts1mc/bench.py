@@ -3,8 +3,9 @@
 A suite is a grid of problem parameters crossed with a trial index and a
 list of solvers.  Every trial derives its generator seeds from
 (suite seed, combo index, trial index) so records are reproducible and
-independent of execution order.  Wall time is measured per solve and is
-the only column excluded from byte-level determinism guarantees.
+independent of execution order; the CLI builds its problems the same way.
+Wall time is measured per solve and is the only column excluded from
+byte-level determinism guarantees.
 """
 
 from __future__ import annotations
@@ -13,15 +14,15 @@ import configparser
 import enum
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .matrixio import read_pgm
 from .metrics import evaluate
-from .problems import (GroundTruth, add_noise, gen_gaussian_lowrank,
-                       image_to_lowrank_truth, sample_uniform,
-                       synthetic_test_image)
+from .problems import (GroundTruth, MaskedMatrix, add_noise,
+                       gen_gaussian_lowrank, image_to_lowrank_truth,
+                       sample_uniform, synthetic_test_image)
 from .solvers import (Algorithm, KnownRank, RankEstimate, SolveReport,
                       SolverConfig, solve)
 
@@ -31,6 +32,8 @@ __all__ = [
     "ExperimentRecord",
     "SuccessPoint",
     "run_suite",
+    "build_problem",
+    "solver_config",
     "aggregate_success",
     "emit_csv",
     "read_csv",
@@ -122,16 +125,22 @@ def _derive_seed(*parts: int) -> int:
         1, dtype=np.uint64)[0])
 
 
-def _solver_config(spec: ExperimentSpec, name: str, r: int) -> SolverConfig:
+def solver_config(spec: ExperimentSpec, name: str, r: int | None,
+                  noise: float) -> SolverConfig:
+    """Solver settings of one cell; ``r`` is None when the rank is unknown."""
     alg = Algorithm(name)
-    if spec.suite is Suite.TABLE_RANK_ESTIMATE and alg in (Algorithm.TS1_S1,
-                                                           Algorithm.TS1_S2):
+    estimating = (spec.rank_estimate is not None
+                  or spec.suite is Suite.TABLE_RANK_ESTIMATE)
+    if estimating and alg in (Algorithm.TS1_S1, Algorithm.TS1_S2):
         k = spec.rank_estimate if spec.rank_estimate is not None else int(1.5 * r)
         rank = RankEstimate(k=k, r_min=spec.r_min)
     else:
-        rank = KnownRank(r=r)
+        rank = KnownRank(r=r) if r is not None else None
+    lam = spec.lam
+    if alg is Algorithm.NUCLEAR and lam is None:
+        lam = default_nuclear_lam(noise)
     return SolverConfig(algorithm=alg, rank=rank, mu=spec.mu, a=spec.a,
-                        lam=spec.lam, tol=spec.tol, max_iters=spec.max_iters)
+                        lam=lam, tol=spec.tol, max_iters=spec.max_iters)
 
 
 def _combos(spec: ExperimentSpec):
@@ -150,15 +159,27 @@ def _load_image(spec: ExperimentSpec) -> np.ndarray:
     return read_pgm(spec.image)
 
 
-def _run_one(spec: ExperimentSpec, truth: GroundTruth, combo_idx: int,
-             trial: int, r: int, cov: float, noise: float,
-             solver_name: str) -> ExperimentRecord:
+def build_problem(spec: ExperimentSpec, combo_idx: int, trial: int,
+                  image: np.ndarray | None = None
+                  ) -> tuple[GroundTruth, MaskedMatrix]:
+    """Clean truth and observed problem of one cell (``image``: the spec's)."""
+    r, cov, noise = _combos(spec)[combo_idx]
+    if spec.suite is Suite.INPAINT:
+        truth = image_to_lowrank_truth(
+            _load_image(spec) if image is None else image, r)
+    else:
+        truth = gen_gaussian_lowrank(
+            spec.m, spec.n, r, cov, _derive_seed(spec.seed, combo_idx, trial, 0))
     noisy = add_noise(truth, noise, _derive_seed(spec.seed, combo_idx, trial, 1))
     masked = sample_uniform(noisy, spec.sr,
                             _derive_seed(spec.seed, combo_idx, trial, 2))
-    cfg = _solver_config(spec, solver_name, r)
-    if cfg.algorithm is Algorithm.NUCLEAR and cfg.lam is None:
-        cfg = replace(cfg, lam=default_nuclear_lam(noise))
+    return truth, masked
+
+
+def _run_one(spec: ExperimentSpec, truth: GroundTruth, masked: MaskedMatrix,
+             trial: int, r: int, cov: float, noise: float,
+             solver_name: str) -> ExperimentRecord:
+    cfg = solver_config(spec, solver_name, r, noise)
     t0 = time.perf_counter()
     try:
         report: SolveReport | None = solve(masked, cfg)
@@ -193,14 +214,9 @@ def run_suite(spec: ExperimentSpec) -> list[ExperimentRecord]:
     image = _load_image(spec) if spec.suite is Suite.INPAINT else None
     for combo_idx, (r, cov, noise) in enumerate(_combos(spec)):
         for trial in range(spec.trials):
-            if spec.suite is Suite.INPAINT:
-                truth = image_to_lowrank_truth(image, r)
-            else:
-                truth = gen_gaussian_lowrank(
-                    spec.m, spec.n, r, cov,
-                    _derive_seed(spec.seed, combo_idx, trial, 0))
+            truth, masked = build_problem(spec, combo_idx, trial, image)
             for name in spec.solvers:
-                records.append(_run_one(spec, truth, combo_idx, trial,
+                records.append(_run_one(spec, truth, masked, trial,
                                         r, cov, noise, name))
     return records
 

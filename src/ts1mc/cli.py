@@ -6,17 +6,17 @@ import argparse
 import math
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
-from .bench import emit_csv, load_config, run_suite, Suite, default_nuclear_lam
-from .matrixio import read_matrix_csv, read_pgm, write_matrix_csv, write_pgm
+from .bench import (ExperimentSpec, Suite, aggregate_success, build_problem,
+                    emit_csv, load_config, run_suite, solver_config)
+from .matrixio import read_matrix_csv, write_matrix_csv, write_pgm
 from .metrics import evaluate
-from .problems import (MaskedMatrix, add_noise, gen_gaussian_lowrank,
-                       image_to_lowrank_truth, sample_uniform,
-                       synthetic_test_image)
+from .problems import MaskedMatrix
 from .sampling import SamplingOperator
-from .solvers import Algorithm, KnownRank, RankEstimate, SolverConfig, solve
+from .solvers import Algorithm, solve
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
@@ -79,27 +79,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _rank_input(args) -> KnownRank | RankEstimate | None:
-    if args.rank_estimate is not None:
-        return RankEstimate(k=args.rank_estimate, r_min=args.r_min)
-    if args.rank is not None:
-        return KnownRank(r=args.rank)
-    return None
+def _spec(args, suite: Suite, **fields) -> ExperimentSpec:
+    """One-trial suite whose first cell is the problem the flags describe."""
+    return ExperimentSpec(suite=suite, ranks=(args.rank,), sr=args.sr,
+                          noises=(args.noise,), trials=1, seed=args.seed,
+                          **fields)
 
 
-def _solver_config(args, sigma_noise: float = 0.0) -> SolverConfig:
-    lam = args.lam
-    if Algorithm(args.solver) is Algorithm.NUCLEAR and lam is None:
-        lam = default_nuclear_lam(sigma_noise)
-    return SolverConfig(algorithm=Algorithm(args.solver), rank=_rank_input(args),
-                        mu=args.mu, a=args.a, lam=lam, tol=args.tol,
-                        max_iters=args.max_iters)
+def _solve(args, spec: ExperimentSpec, masked: MaskedMatrix, truth_matrix):
+    """Solve with the solver flags' settings: (report, metrics, seconds)."""
+    spec = replace(spec, mu=args.mu, a=args.a, lam=args.lam, tol=args.tol,
+                   max_iters=args.max_iters, rank_estimate=args.rank_estimate,
+                   r_min=args.r_min)
+    t0 = time.perf_counter()
+    report = solve(masked, solver_config(spec, args.solver, args.rank, args.noise))
+    wall = time.perf_counter() - t0
+    return report, evaluate(report.x_opt, truth_matrix), wall
 
 
 def _cmd_gen(args) -> int:
-    truth = gen_gaussian_lowrank(args.m, args.n, args.rank, args.cov, args.seed)
-    noisy = add_noise(truth, args.noise, args.seed + 1)
-    masked = sample_uniform(noisy, args.sr, args.seed + 2)
+    spec = _spec(args, Suite.SINGLE, m=args.m, n=args.n, covs=(args.cov,))
+    truth, masked = build_problem(spec, 0, 0)
     write_matrix_csv(f"{args.out}.truth.csv", truth.matrix)
     observed = np.full(masked.shape, math.nan)
     observed[masked.op.rows, masked.op.cols] = masked.values
@@ -121,6 +121,7 @@ def _load_problem(prefix: str):
 
 
 def _cmd_solve(args) -> int:
+    spec = _spec(args, Suite.SINGLE, m=args.m, n=args.n, covs=(args.cov,))
     if args.input_prefix:
         truth_matrix, masked = _load_problem(args.input_prefix)
     else:
@@ -128,16 +129,9 @@ def _cmd_solve(args) -> int:
             print("solve: --rank is required when generating a problem",
                   file=sys.stderr)
             return 1
-        truth = gen_gaussian_lowrank(args.m, args.n, args.rank, args.cov,
-                                     args.seed)
-        noisy = add_noise(truth, args.noise, args.seed + 1)
-        masked = sample_uniform(noisy, args.sr, args.seed + 2)
+        truth, masked = build_problem(spec, 0, 0)
         truth_matrix = truth.matrix
-    cfg = _solver_config(args, sigma_noise=args.noise)
-    t0 = time.perf_counter()
-    report = solve(masked, cfg)
-    wall = time.perf_counter() - t0
-    met = evaluate(report.x_opt, truth_matrix)
+    report, met, wall = _solve(args, spec, masked, truth_matrix)
     extra = ""
     if report.rank_estimate is not None:
         extra = f" rank_est={report.rank_estimate}"
@@ -152,13 +146,11 @@ def _cmd_solve(args) -> int:
 def _cmd_bench(args) -> int:
     spec = load_config(args.config, full=args.full)
     if args.seed is not None:
-        from dataclasses import replace
         spec = replace(spec, seed=args.seed)
     records = run_suite(spec)
     emit_csv(records, args.out)
     print(f"wrote {len(records)} records to {args.out}")
     if spec.suite is Suite.SUCCESS_CURVE:
-        from .bench import aggregate_success
         curve_path = f"{args.out}.curve.csv"
         with open(curve_path, "w", encoding="ascii") as fh:
             fh.write("r,fr,success_rate,trials\n")
@@ -172,27 +164,18 @@ def _cmd_inpaint(args) -> int:
     if args.rank is None:
         print("inpaint: --rank is required", file=sys.stderr)
         return 1
-    if args.image == "synthetic":
-        image = synthetic_test_image()
-    else:
-        image = read_pgm(args.image)
-    truth = image_to_lowrank_truth(image, args.rank)
-    noisy = add_noise(truth, args.noise, args.seed)
-    masked = sample_uniform(noisy, args.sr, args.seed + 1)
-    cfg = _solver_config(args, sigma_noise=args.noise)
-    t0 = time.perf_counter()
-    report = solve(masked, cfg)
-    wall = time.perf_counter() - t0
-    met = evaluate(report.x_opt, truth.matrix)
+    # m, n only size the synthetic pattern; a PGM image brings its own.
+    spec = _spec(args, Suite.INPAINT, m=128, n=128, image=args.image)
+    truth, masked = build_problem(spec, 0, 0)
+    report, met, wall = _solve(args, spec, masked, truth.matrix)
     print(f"solver={args.solver} psnr={met.psnr:.2f}dB mse={met.mse:.3e} "
           f"rel.err={met.rel_err:.4e} iterations={report.iterations} "
           f"time={wall:.2f}s")
     if args.out:
         write_pgm(f"{args.out}.recovered.pgm",
                   np.clip(report.x_opt, 0.0, 1.0))
-        observed = np.zeros(masked.shape)
-        observed[masked.op.rows, masked.op.cols] = masked.values
-        write_pgm(f"{args.out}.observed.pgm", np.clip(observed, 0.0, 1.0))
+        write_pgm(f"{args.out}.observed.pgm",
+                  np.clip(masked.observed_fill(), 0.0, 1.0))
         print(f"wrote {args.out}.recovered.pgm and {args.out}.observed.pgm")
     return 0
 

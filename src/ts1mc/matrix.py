@@ -46,19 +46,15 @@ class SvdFactors:
 
 
 def compute_svd(x: np.ndarray) -> SvdFactors:
-    """Economy SVD with singular values enforced nonincreasing."""
+    """Economy SVD; LAPACK's gesdd returns sigma nonincreasing."""
     u, sigma, vt = _svd(np.asarray(x, dtype=float), full_matrices=False,
                         lapack_driver="gesdd")
-    order = np.argsort(sigma)[::-1]
-    if not np.array_equal(order, np.arange(sigma.size)):
-        u, sigma, vt = u[:, order], sigma[order], vt[order]
     return SvdFactors(u=u, sigma=sigma, v=vt.T)
 
 
 def singular_values(x: np.ndarray) -> np.ndarray:
-    """Singular values of ``x`` in nonincreasing order."""
-    sigma = _svd(np.asarray(x, dtype=float), compute_uv=False)
-    return np.sort(sigma)[::-1]
+    """Singular values of ``x`` in nonincreasing order (as gesdd returns them)."""
+    return _svd(np.asarray(x, dtype=float), compute_uv=False)
 
 
 def numerical_rank(sigma: np.ndarray, floor: float = RANK_FLOOR) -> int:

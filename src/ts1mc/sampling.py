@@ -4,9 +4,7 @@ The measurement operator reads a fixed set of matrix entries; its adjoint
 scatters a vector back onto those entries.  Since each measurement reads
 one distinct entry, the operator norm is exactly 1, so any step size
 mu in (0, 1) keeps the surrogate objective a majorizer of mu times the
-penalized objective.  The operator interface (apply / adjoint / norm
-bound) is kept minimal so other linear measurement maps can slot in; only
-entry sampling is implemented here.
+penalized objective.
 """
 
 from __future__ import annotations
@@ -20,7 +18,8 @@ from .matrix import singular_values, ts1_penalty
 __all__ = [
     "SamplingOperator",
     "ObjectiveContext",
-    "estimate_operator_norm",
+    "gradient_step",
+    "check_penalty",
 ]
 
 
@@ -58,11 +57,6 @@ class SamplingOperator:
         """Number of observed entries."""
         return int(self.rows.size)
 
-    @property
-    def norm_bound(self) -> float:
-        """Exact operator norm: each measurement reads one distinct entry."""
-        return 1.0
-
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Observed entries of ``x`` in operator order."""
         x = np.asarray(x)
@@ -86,13 +80,31 @@ class SamplingOperator:
         return out
 
 
+def gradient_step(z: np.ndarray, op: SamplingOperator, b: np.ndarray,
+                  mu: float) -> np.ndarray:
+    """Gradient step Z + mu A*(b - A(Z)) toward data consistency.
+
+    Unobserved entries pass through unchanged; an observed entry becomes
+    (1 - mu) Z_ij + mu b_ij.
+    """
+    out = np.array(z, dtype=float, copy=True)
+    out[op.rows, op.cols] += mu * (b - out[op.rows, op.cols])
+    return out
+
+
+def check_penalty(lam: float | None, a: float | None) -> None:
+    """Require lam >= 0 and a > 0; None marks a value chosen later."""
+    if (lam is not None and not lam >= 0.0) or (a is not None and not a > 0.0):
+        raise ValueError(f"lam must be nonnegative and a positive, got {lam}, {a}")
+
+
 @dataclass(frozen=True)
 class ObjectiveContext:
     """Measurement operator, data and penalty parameters for one problem.
 
-    Accepts mu in (0, 1/norm_bound^2], i.e. (0, 1] for entry sampling; the
-    closure point mu = 1 is the exact data fill.  Surrogate domination
-    holds strictly only below the bound, which the solvers enforce.
+    Accepts mu in (0, 1]; the closure point mu = 1 is the exact data
+    fill.  Surrogate domination holds strictly only for mu < 1, which the
+    solvers enforce.
     """
 
     op: SamplingOperator
@@ -106,22 +118,13 @@ class ObjectiveContext:
         object.__setattr__(self, "b", b)
         if b.shape != (self.op.p,):
             raise ValueError("data vector length does not match the operator")
-        bound = self.op.norm_bound ** -2
-        if not 0.0 < self.mu <= bound:
-            raise ValueError(f"mu must lie in (0, {bound}], got {self.mu}")
-        if self.lam < 0 or self.a <= 0:
-            raise ValueError("lam must be nonnegative and a positive")
+        if not 0.0 < self.mu <= 1.0:
+            raise ValueError(f"mu must lie in (0, 1], got {self.mu}")
+        check_penalty(self.lam, self.a)
 
     def b_mu_step(self, z: np.ndarray) -> np.ndarray:
-        """Gradient step Z + mu A*(b - A(Z)) toward data consistency.
-
-        Unobserved entries pass through unchanged; an observed entry
-        becomes (1 - mu) Z_ij + mu b_ij.
-        """
-        out = np.array(z, dtype=float, copy=True)
-        op = self.op
-        out[op.rows, op.cols] += self.mu * (self.b - out[op.rows, op.cols])
-        return out
+        """Gradient step toward data consistency (see ``gradient_step``)."""
+        return gradient_step(z, self.op, self.b, self.mu)
 
     def c_lambda(self, x: np.ndarray) -> float:
         """Penalized objective (1/2)||A(X) - b||^2 + lam * T(X)."""
@@ -133,28 +136,8 @@ class ObjectiveContext:
         """Surrogate mu {C_lam(X) - (1/2)||A(X) - A(Z)||^2} + (1/2)||X - Z||_F^2.
 
         Coincides with mu * C_lam(X) at X = Z and dominates it whenever
-        mu is below the inverse squared operator norm.
+        mu < 1.
         """
         dx = self.op.apply(x) - self.op.apply(z)
         return float(self.mu * (self.c_lambda(x) - 0.5 * np.dot(dx, dx))
                      + 0.5 * np.sum((np.asarray(x) - np.asarray(z)) ** 2))
-
-
-def estimate_operator_norm(op, n_iter: int = 50, seed: int = 0) -> float:
-    """Power-iteration estimate of ||A||_2 for operators without a closed form.
-
-    For the entry-sampling operator this converges to 1; it exists as a
-    fallback for future operator types.
-    """
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal(op.shape)
-    x /= np.linalg.norm(x)
-    est = 0.0
-    for _ in range(n_iter):
-        y = op.adjoint(op.apply(x))
-        nrm = np.linalg.norm(y)
-        if nrm == 0:
-            return 0.0
-        est = np.sqrt(nrm)
-        x = y / nrm
-    return float(est)

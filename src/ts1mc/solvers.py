@@ -16,20 +16,24 @@ differ in how the threshold parameters are chosen each iteration:
 
 The working rank is either supplied (known-rank mode) or maintained by a
 one-shot eigengap estimator that may lower an overestimate once.
+
+Every scheme runs one kernel, ``fixed_point_step``: gradient step, SVD, a
+per-scheme ``select(sigma)`` policy, reconstruction.  A new spectral
+backend belongs behind its ``compute_svd``.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .matrix import (compute_svd, singular_values, threshold_spectrum,
-                     ts1_prox_matrix)
+from .matrix import compute_svd, singular_values, threshold_spectrum
 from .problems import MaskedMatrix
-from .sampling import ObjectiveContext
+from .sampling import (ObjectiveContext, SamplingOperator, check_penalty,
+                       gradient_step)
 from .scalar import ThresholdRegime, make_threshold_params
 
 __all__ = [
@@ -40,6 +44,7 @@ __all__ = [
     "IterationRecord",
     "SolveReport",
     "solve",
+    "fixed_point_step",
     "ts1_it_step",
     "nuclear_baseline_step",
     "ts1_s1_select_lambda",
@@ -225,16 +230,63 @@ def estimate_rank(x: np.ndarray, k: int, r_min: int = 1) -> tuple[int, bool, flo
     return eigengap_from_sigma(singular_values(x), k, r_min)
 
 
+def fixed_point_step(x: np.ndarray, op: SamplingOperator, b: np.ndarray,
+                     mu: float, select: Callable) -> tuple[np.ndarray, tuple]:
+    """One step X <- G(B_mu(X)); ``select`` maps sigma to (g, lambda_mu, a, t)."""
+    f = compute_svd(gradient_step(x, op, b, mu))
+    sel = select(f.sigma)
+    return (f.u * sel[0]) @ f.v.T, sel
+
+
+def _ts1_threshold(a: float, lambda_mu: float) -> Callable:
+    """ts1-it's policy: the TS1 prox at fixed (a, lambda_mu)."""
+    t = make_threshold_params(a, lambda_mu).t
+    return lambda sigma: (threshold_spectrum(sigma, a, lambda_mu, t), lambda_mu, a, t)
+
+
+def _soft_threshold(lambda_mu: float) -> Callable:
+    """nuclear's policy: soft-thresholding by lambda_mu."""
+    return lambda sigma: (np.maximum(sigma - lambda_mu, 0.0), lambda_mu, 0.0, lambda_mu)
+
+
+class _AdaptiveThreshold:
+    """ts1-s1/ts1-s2: parameters from each spectrum, after the eigengap test."""
+
+    def __init__(self, config: SolverConfig, problem: MaskedMatrix):
+        self.config = config
+        self.a = resolve_a(config, problem)
+        self.estimating = isinstance(config.rank, RankEstimate)
+        self.rank = config.rank.k if self.estimating else config.rank.r
+        self.adjusted, self.tau = False, 0.0
+
+    def __call__(self, sigma):
+        cfg = self.config
+        if self.estimating and not self.adjusted:
+            self.rank, self.adjusted, self.tau = eigengap_from_sigma(
+                sigma, self.rank, cfg.rank.r_min)
+            if self.adjusted and cfg.a is None:
+                self.a = KNOWN_RANK_DEFAULT_A
+        if cfg.algorithm is Algorithm.TS1_S2:
+            sel = ts1_s2_select_params(sigma, self.rank, cfg.mu)
+            a, lambda_mu, t, keep = sel.a_n, sel.lambda_mu, sel.t_n, False
+        else:
+            sel = ts1_s1_select_lambda(sigma, self.rank, cfg.mu, self.a)
+            a, lambda_mu, t = self.a, sel.lambda_n * cfg.mu, sel.t_n
+            keep = sel.regime is ThresholdRegime.SUPER_CRITICAL
+        g = threshold_spectrum(sigma, a, lambda_mu, t, keep_boundary=keep)
+        return g, lambda_mu, a, t
+
+
 def ts1_it_step(x: np.ndarray, ctx: ObjectiveContext) -> np.ndarray:
     """One basic iteration: TS1 prox of the gradient step at fixed (lam, a)."""
-    return ts1_prox_matrix(ctx.b_mu_step(x), ctx.a, ctx.lam * ctx.mu)
+    return fixed_point_step(x, ctx.op, ctx.b, ctx.mu,
+                            _ts1_threshold(ctx.a, ctx.lam * ctx.mu))[0]
 
 
 def nuclear_baseline_step(x: np.ndarray, ctx: ObjectiveContext) -> np.ndarray:
     """One baseline iteration: soft-threshold singular values by lam * mu."""
-    f = compute_svd(ctx.b_mu_step(x))
-    g = np.maximum(f.sigma - ctx.lam * ctx.mu, 0.0)
-    return (f.u * g) @ f.v.T
+    return fixed_point_step(x, ctx.op, ctx.b, ctx.mu,
+                            _soft_threshold(ctx.lam * ctx.mu))[0]
 
 
 def resolve_a(config: SolverConfig, problem: MaskedMatrix) -> float:
@@ -251,10 +303,13 @@ def resolve_a(config: SolverConfig, problem: MaskedMatrix) -> float:
 
 def _validate(problem: MaskedMatrix, config: SolverConfig) -> None:
     m, n = problem.shape
-    if not 0.0 < config.mu < problem.op.norm_bound ** -2:
-        raise ValueError(f"mu must lie in (0, {problem.op.norm_bound ** -2})")
+    if not np.all(np.isfinite(problem.values)):
+        raise ValueError("observed values must be finite")
+    if not 0.0 < config.mu < 1.0:
+        raise ValueError(f"mu must lie in (0, 1), got {config.mu}")
     if config.tol <= 0 or config.max_iters < 1:
         raise ValueError("tol must be positive and max_iters at least 1")
+    check_penalty(config.lam, config.a)
     alg = config.algorithm
     if alg in (Algorithm.TS1_S1, Algorithm.TS1_S2):
         if isinstance(config.rank, KnownRank):
@@ -280,62 +335,27 @@ def solve(problem: MaskedMatrix, config: SolverConfig) -> SolveReport:
     """
     _validate(problem, config)
     alg = config.algorithm
-    mu = config.mu
-    op = problem.op
-    b = problem.values
+    if alg is Algorithm.TS1_IT:
+        select = _ts1_threshold(resolve_a(config, problem), config.lam * config.mu)
+    elif alg is Algorithm.NUCLEAR:
+        select = _soft_threshold(config.lam * config.mu)
+    else:
+        select = _AdaptiveThreshold(config, problem)
+    adaptive = isinstance(select, _AdaptiveThreshold)
     x = problem.observed_fill()
-
-    adaptive = alg in (Algorithm.TS1_S1, Algorithm.TS1_S2)
-    estimating = adaptive and isinstance(config.rank, RankEstimate)
-    r_work = (config.rank.r if isinstance(config.rank, KnownRank)
-              else config.rank.k if estimating else 0)
-    adjusted = False
-    tau = 0.0
-    a_fixed = resolve_a(config, problem) if alg in (Algorithm.TS1_IT,
-                                                    Algorithm.TS1_S1) else 0.0
-    if alg == Algorithm.TS1_IT:
-        fixed = make_threshold_params(a_fixed, config.lam * mu)
 
     history: list[IterationRecord] = []
     residual = np.inf
     converged = False
     it = 0
     for it in range(1, config.max_iters + 1):
-        y = np.array(x, copy=True)
-        y[op.rows, op.cols] += mu * (b - y[op.rows, op.cols])
-        f = compute_svd(y)
-        sig = f.sigma
-
-        if estimating and not adjusted:
-            r_work, adjusted, tau = eigengap_from_sigma(
-                sig, r_work, config.rank.r_min)
-            if adjusted and alg == Algorithm.TS1_S1 and config.a is None:
-                a_fixed = KNOWN_RANK_DEFAULT_A
-
-        if alg == Algorithm.TS1_IT:
-            lambda_mu, a_n, t_n = config.lam * mu, a_fixed, fixed.t
-            g = threshold_spectrum(sig, a_n, lambda_mu, t_n)
-        elif alg == Algorithm.TS1_S1:
-            sel = ts1_s1_select_lambda(sig, r_work, mu, a_fixed)
-            lambda_mu, a_n, t_n = sel.lambda_n * mu, a_fixed, sel.t_n
-            g = threshold_spectrum(
-                sig, a_n, lambda_mu, t_n,
-                keep_boundary=sel.regime is ThresholdRegime.SUPER_CRITICAL)
-        elif alg == Algorithm.TS1_S2:
-            sel = ts1_s2_select_params(sig, r_work, mu)
-            lambda_mu, a_n, t_n = sel.lambda_mu, sel.a_n, sel.t_n
-            g = threshold_spectrum(sig, a_n, lambda_mu, t_n)
-        else:
-            lambda_mu, a_n, t_n = config.lam * mu, 0.0, config.lam * mu
-            g = np.maximum(sig - lambda_mu, 0.0)
-
-        x_next = (f.u * g) @ f.v.T
+        x_next, (g, lambda_mu, a, t) = fixed_point_step(
+            x, problem.op, problem.values, config.mu, select)
         residual = float(np.linalg.norm(x_next - x)
                          / max(np.linalg.norm(x), 1.0))
-        history.append(IterationRecord(residual=residual, lambda_mu=lambda_mu,
-                                       a=a_n, t=t_n,
-                                       rank=r_work if adaptive
-                                       else int(np.count_nonzero(g))))
+        history.append(IterationRecord(
+            residual=residual, lambda_mu=lambda_mu, a=a, t=t,
+            rank=select.rank if adaptive else int(np.count_nonzero(g))))
         x = x_next
         if residual <= config.tol:
             converged = True
@@ -343,5 +363,6 @@ def solve(problem: MaskedMatrix, config: SolverConfig) -> SolveReport:
 
     return SolveReport(x_opt=x, iterations=it, converged=converged,
                        final_residual=residual, history=history, algorithm=alg,
-                       rank_estimate=r_work if adaptive else None,
-                       rank_adjusted=adjusted, tau=tau)
+                       rank_estimate=select.rank if adaptive else None,
+                       rank_adjusted=adaptive and select.adjusted,
+                       tau=select.tau if adaptive else 0.0)

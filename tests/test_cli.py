@@ -1,7 +1,9 @@
 import numpy as np
+import pytest
 
+from ts1mc.bench import read_csv
 from ts1mc.cli import cli_main
-from ts1mc.matrixio import read_matrix_csv, read_pgm, write_pgm
+from ts1mc.matrixio import read_matrix_csv, read_pgm, write_matrix_csv, write_pgm
 from ts1mc.problems import synthetic_test_image
 
 
@@ -36,6 +38,60 @@ class TestGenSolve:
                          "--sr", "0.5", "--rank-estimate", "6",
                          "--solver", "ts1-s1", "--seed", "5"]) == 0
         assert "rank_est=4" in capsys.readouterr().out
+
+
+class TestReplay:
+    ARGS = ["--m", "40", "--n", "40", "--rank", "3", "--sr", "0.5",
+            "--seed", "11"]
+
+    @staticmethod
+    def _metrics(printed):
+        fields = dict(f.split("=", 1) for f in printed.split() if "=" in f)
+        return fields["rel.err"], fields["iterations"]
+
+    @pytest.mark.parametrize("solver_section, flags", [
+        ("", []), ("rank_estimate = 5\n", ["--rank-estimate", "5"])])
+    def test_solve_replays_single_suite_bench_row(self, tmp_path, capsys,
+                                                  solver_section, flags):
+        cfg = tmp_path / "one.cfg"
+        cfg.write_text(
+            "[experiment]\nsuite = single\nm = 40\nn = 40\nranks = 3\n"
+            "sr = 0.5\ntrials = 1\nsolvers = ts1-s1\nseed = 11\n"
+            "[solver]\n" + solver_section)
+        out = tmp_path / "one.csv"
+        assert cli_main(["bench", "--config", str(cfg), "--out", str(out)]) == 0
+        row = read_csv(out)[0]
+        capsys.readouterr()
+        assert cli_main(["solve", "--solver", "ts1-s1"] + self.ARGS + flags) == 0
+        assert self._metrics(capsys.readouterr().out) == (
+            f"{row.rel_err:.6e}", str(row.iterations))
+
+    def test_gen_then_solve_matches_solve_on_the_fly(self, tmp_path, capsys):
+        prefix = str(tmp_path / "prob")
+        assert cli_main(["gen", "--out", prefix] + self.ARGS) == 0
+        capsys.readouterr()
+        assert cli_main(["solve", "--in", prefix, "--rank", "3"]) == 0
+        from_files = self._metrics(capsys.readouterr().out)
+        assert cli_main(["solve"] + self.ARGS) == 0
+        assert self._metrics(capsys.readouterr().out) == from_files
+
+
+class TestInvalidInput:
+    def test_nonfinite_observed_value(self, tmp_path, capsys):
+        prefix = str(tmp_path / "prob")
+        assert cli_main(["gen", "--m", "20", "--n", "20", "--rank", "2",
+                         "--out", prefix]) == 0
+        observed = read_matrix_csv(prefix + ".observed.csv")
+        observed[np.unravel_index(np.flatnonzero(~np.isnan(observed))[0],
+                                  observed.shape)] = np.inf
+        write_matrix_csv(prefix + ".observed.csv", observed)
+        assert cli_main(["solve", "--in", prefix, "--rank", "2"]) == 1
+        assert "finite" in capsys.readouterr().err
+
+    def test_negative_lam(self, capsys):
+        assert cli_main(["solve", "--m", "20", "--n", "20", "--rank", "2",
+                         "--solver", "nuclear", "--lam", "-1"]) == 1
+        assert "lam must be nonnegative" in capsys.readouterr().err
 
 
 class TestBench:

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from ts1mc.matrix import singular_values, ts1_penalty, ts1_prox_matrix
-from ts1mc.sampling import (ObjectiveContext, SamplingOperator,
-                            estimate_operator_norm)
+from ts1mc.sampling import ObjectiveContext, SamplingOperator
 
 
 def make_op(shape, flat, m=None):
@@ -68,13 +67,6 @@ class TestSamplingOperator:
             op22.apply(np.ones((3, 2)))
         with pytest.raises(ValueError):
             op22.adjoint(np.ones(3))
-
-    def test_norm_bound_matches_power_iteration(self):
-        rng = np.random.default_rng(3)
-        op = make_op((8, 8), rng.choice(64, size=30, replace=False))
-        assert op.norm_bound == 1.0
-        assert estimate_operator_norm(op, n_iter=40, seed=0) == pytest.approx(
-            1.0, abs=1e-6)
 
 
 class TestBMuStep:

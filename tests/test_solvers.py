@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -137,7 +139,22 @@ class TestSingleSteps:
         truth, masked = make_problem(30, 30, 2, 0.6, seed=5)
         self.ctx = ObjectiveContext(op=masked.op, b=masked.values, lam=0.5,
                                     mu=0.99, a=1.0)
+        self.masked = masked
         self.x0 = masked.observed_fill()
+
+    @pytest.mark.parametrize("step, alg", [(ts1_it_step, Algorithm.TS1_IT),
+                                           (nuclear_baseline_step,
+                                            Algorithm.NUCLEAR)])
+    def test_steps_are_the_iterates_solve_returns(self, step, alg):
+        # tol far below any residual reached in 25 steps: solve must not stop
+        x = self.x0
+        for _ in range(25):
+            x = step(x, self.ctx)
+        rep = solve(self.masked, SolverConfig(algorithm=alg, lam=self.ctx.lam,
+                                              a=self.ctx.a, mu=self.ctx.mu,
+                                              tol=1e-300, max_iters=25))
+        assert rep.iterations == 25 and not rep.converged
+        assert rep.x_opt.tobytes() == x.tobytes()
 
     def test_fixed_point_invariance(self):
         x = self.x0
@@ -254,6 +271,23 @@ class TestSolve:
         rep2 = solve(masked, cfg)
         assert rep1.iterations == rep2.iterations
         assert np.array_equal(rep1.x_opt, rep2.x_opt)
+
+    @pytest.mark.parametrize("bad_value, change", [
+        (np.inf, {}), (np.nan, {}),
+        (None, {"algorithm": Algorithm.NUCLEAR, "lam": -1.0}),
+        (None, {"algorithm": Algorithm.TS1_IT, "lam": 0.5, "a": 0.0}),
+        (None, {"algorithm": Algorithm.TS1_S1, "a": -1.0}),
+    ])
+    def test_invalid_input_rejected_at_the_boundary(self, bad_value, change):
+        truth, masked = make_problem(20, 20, 2, 0.6, seed=1)
+        if bad_value is not None:
+            values = masked.values.copy()
+            values[3] = bad_value
+            masked = replace(masked, values=values)
+        cfg = dict(algorithm=Algorithm.TS1_S2, rank=KnownRank(2))
+        cfg.update(change)
+        with pytest.raises(ValueError, match="finite|lam must"):
+            solve(masked, SolverConfig(**cfg))
 
     def test_config_validation(self):
         truth, masked = make_problem(20, 20, 2, 0.6, seed=1)
