@@ -15,10 +15,9 @@ from .matrix import (SvdFactors, compute_svd, ky_fan_norm, numerical_rank,
                      partial_trace, shrinkage_identity, singular_values,
                      threshold_spectrum, ts1_penalty, ts1_prox_matrix)
 from .sampling import ObjectiveContext, SamplingOperator
-from .problems import (Descriptors, GenParams, GroundTruth, MaskedMatrix,
-                       add_noise, fr_display, gen_gaussian_lowrank,
-                       image_to_lowrank_truth, make_descriptors,
-                       max_recoverable_rank, sample_uniform,
+from .problems import (Descriptors, GroundTruth, MaskedMatrix, add_noise,
+                       fr_display, gen_gaussian_lowrank, image_to_lowrank_truth,
+                       make_descriptors, max_recoverable_rank, sample_uniform,
                        synthetic_test_image)
 from .metrics import (SUCCESS_REL_ERR, RecoveryMetrics, evaluate, mse, psnr,
                       relative_error)

@@ -1,20 +1,24 @@
 """Experiment suites: generate, solve, measure, and serialize as CSV.
 
-A suite is a grid of problem parameters crossed with a trial index and a
-list of solvers.  Every trial derives its generator seeds from
-(suite seed, combo index, trial index) so records are reproducible and
-independent of execution order; the CLI builds its problems the same way.
-Wall time is measured per solve and is the only column excluded from
-byte-level determinism guarantees.
+Every suite is the grid ranks x covs x noises x trials x solvers; the
+suite name only picks image truth (inpaint), the default rank estimate
+(table-rank-estimate) and the CLI's curve file (success-curve).  Trials
+derive their seeds from (suite seed, combo index, trial index), so records
+are reproducible and independent of execution order; the CLI builds its
+problems the same way.  Config keys and CSV columns are the field names of
+ExperimentSpec and ExperimentRecord.  Wall time is the only column outside
+the byte-level determinism guarantee.
 """
 
 from __future__ import annotations
 
 import configparser
 import enum
+import itertools
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields, replace
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -23,8 +27,7 @@ from .metrics import evaluate
 from .problems import (GroundTruth, MaskedMatrix, add_noise,
                        gen_gaussian_lowrank, image_to_lowrank_truth,
                        sample_uniform, synthetic_test_image)
-from .solvers import (Algorithm, KnownRank, RankEstimate, SolveReport,
-                      SolverConfig, solve)
+from .solvers import Algorithm, KnownRank, RankEstimate, SolverConfig, solve
 
 __all__ = [
     "Suite",
@@ -115,9 +118,33 @@ class SuccessPoint:
     trials: int
 
 
-CSV_COLUMNS = [f.strip() for f in (
-    "suite solver m n r sr fr cov sigma_noise trial rel_err psnr mse "
-    "success iterations wall_time_seconds rank_estimated").split()]
+CSV_COLUMNS = [f.name for f in fields(ExperimentRecord)]
+_RECORD_TYPES = get_type_hints(ExperimentRecord)
+_SPEC_TYPES = get_type_hints(ExperimentSpec)
+# Display columns written at reduced precision; other floats round-trip.
+_CSV_FORMATS = {"psnr": ".6g", "mse": ".6g", "wall_time_seconds": ".2f"}
+
+
+def _parse(kind, raw: str):
+    """Config or CSV text as a ``kind`` value; "" is None for ``X | None``."""
+    if type(None) in get_args(kind):
+        if raw == "":
+            return None
+        kind = get_args(kind)[0]
+    if get_origin(kind) is tuple:
+        return tuple(get_args(kind)[0](v) for v in raw.split())
+    if kind is bool:
+        return raw == "1"
+    return kind(raw)
+
+
+def _format(name: str, value) -> str:
+    kind = _RECORD_TYPES[name]
+    if value is None:
+        return ""
+    if kind is bool:
+        return str(int(value))
+    return format(value, _CSV_FORMATS.get(name, ".17g" if kind is float else ""))
 
 
 def _derive_seed(*parts: int) -> int:
@@ -143,14 +170,8 @@ def solver_config(spec: ExperimentSpec, name: str, r: int | None,
                         lam=lam, tol=spec.tol, max_iters=spec.max_iters)
 
 
-def _combos(spec: ExperimentSpec):
-    if spec.suite is Suite.TABLE_COV_KNOWN_RANK:
-        return [(r, cov, spec.noises[0]) for r in spec.ranks for cov in spec.covs]
-    if spec.suite is Suite.INPAINT:
-        return [(spec.ranks[0], 0.0, noise) for noise in spec.noises]
-    if spec.suite is Suite.SINGLE:
-        return [(spec.ranks[0], spec.covs[0], spec.noises[0])]
-    return [(r, spec.covs[0], spec.noises[0]) for r in spec.ranks]
+def _combos(spec: ExperimentSpec) -> list[tuple[int, float, float]]:
+    return list(itertools.product(spec.ranks, spec.covs, spec.noises))
 
 
 def _load_image(spec: ExperimentSpec) -> np.ndarray:
@@ -182,25 +203,22 @@ def _run_one(spec: ExperimentSpec, truth: GroundTruth, masked: MaskedMatrix,
     cfg = solver_config(spec, solver_name, r, noise)
     t0 = time.perf_counter()
     try:
-        report: SolveReport | None = solve(masked, cfg)
-        x_opt = report.x_opt
+        report = solve(masked, cfg)
     except (ValueError, np.linalg.LinAlgError):
-        report, x_opt = None, None
+        report = None
     wall = time.perf_counter() - t0
     d = masked.descriptors
-    if report is None:
-        return ExperimentRecord(
-            suite=spec.suite.value, solver=solver_name, m=spec.m, n=spec.n,
-            r=r, sr=d.sr, fr=d.fr, cov=cov, sigma_noise=noise, trial=trial,
-            rel_err=math.inf, psnr=-math.inf, mse=math.inf, success=False,
-            iterations=0, wall_time_seconds=wall, rank_estimated=None)
-    met = evaluate(x_opt, truth.matrix)
-    return ExperimentRecord(
+    failed = ExperimentRecord(
         suite=spec.suite.value, solver=solver_name, m=spec.m, n=spec.n, r=r,
         sr=d.sr, fr=d.fr, cov=cov, sigma_noise=noise, trial=trial,
-        rel_err=met.rel_err, psnr=met.psnr, mse=met.mse, success=met.success,
-        iterations=report.iterations, wall_time_seconds=wall,
-        rank_estimated=report.rank_estimate)
+        rel_err=math.inf, psnr=-math.inf, mse=math.inf, success=False,
+        iterations=0, wall_time_seconds=wall, rank_estimated=None)
+    if report is None:
+        return failed
+    met = evaluate(report.x_opt, truth.matrix)
+    return replace(failed, rel_err=met.rel_err, psnr=met.psnr, mse=met.mse,
+                   success=met.success, iterations=report.iterations,
+                   rank_estimated=report.rank_estimate)
 
 
 def run_suite(spec: ExperimentSpec) -> list[ExperimentRecord]:
@@ -235,24 +253,14 @@ def aggregate_success(records: list[ExperimentRecord]) -> list[SuccessPoint]:
     return out
 
 
-def _fmt(rec: ExperimentRecord) -> list[str]:
-    return [
-        rec.suite, rec.solver, str(rec.m), str(rec.n), str(rec.r),
-        f"{rec.sr:.17g}", f"{rec.fr:.17g}", f"{rec.cov:.17g}",
-        f"{rec.sigma_noise:.17g}", str(rec.trial), f"{rec.rel_err:.17g}",
-        f"{rec.psnr:.6g}", f"{rec.mse:.6g}", "1" if rec.success else "0",
-        str(rec.iterations), f"{rec.wall_time_seconds:.2f}",
-        "" if rec.rank_estimated is None else str(rec.rank_estimated),
-    ]
-
-
 def emit_csv(records: list[ExperimentRecord], path) -> None:
     """Write records with a fixed header and column order."""
     try:
         with open(path, "w", encoding="ascii") as fh:
             fh.write(",".join(CSV_COLUMNS) + "\n")
             for rec in records:
-                fh.write(",".join(_fmt(rec)) + "\n")
+                fh.write(",".join(_format(name, getattr(rec, name))
+                                  for name in CSV_COLUMNS) + "\n")
     except OSError as exc:
         raise OSError(f"cannot write records to {path}: {exc}") from exc
 
@@ -264,53 +272,51 @@ def read_csv(path) -> list[ExperimentRecord]:
         if header != CSV_COLUMNS:
             raise ValueError(f"{path}: unexpected header {header}")
         out = []
-        for line in fh:
-            v = line.rstrip("\n").split(",")
-            out.append(ExperimentRecord(
-                suite=v[0], solver=v[1], m=int(v[2]), n=int(v[3]), r=int(v[4]),
-                sr=float(v[5]), fr=float(v[6]), cov=float(v[7]),
-                sigma_noise=float(v[8]), trial=int(v[9]), rel_err=float(v[10]),
-                psnr=float(v[11]), mse=float(v[12]), success=v[13] == "1",
-                iterations=int(v[14]), wall_time_seconds=float(v[15]),
-                rank_estimated=None if v[16] == "" else int(v[16])))
+        for lineno, line in enumerate(fh, start=2):
+            values = line.rstrip("\n").split(",")
+            if len(values) != len(CSV_COLUMNS):
+                raise ValueError(f"{path}: line {lineno} has {len(values)} "
+                                 f"fields, expected {len(CSV_COLUMNS)}")
+            out.append(ExperimentRecord(**{
+                name: _parse(_RECORD_TYPES[name], raw)
+                for name, raw in zip(CSV_COLUMNS, values, strict=True)}))
     return out
 
 
 def load_config(path, full: bool = False) -> ExperimentSpec:
-    """Parse a flat key-value config file into an ExperimentSpec.
+    """Parse a key-value config file into an ExperimentSpec.
 
-    With ``full`` the trial count falls back to the full-scale
-    ``full_trials`` value when the file provides one.
+    Keys are ExperimentSpec field names, in an ``[experiment]`` or
+    ``[solver]`` section, each parsed by its field's type; unset keys keep
+    the field default and an empty value means None for optional fields.
+    ``full_trials`` is the full-scale trial count, used instead of
+    ``trials`` with ``full``.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
-    if not parser.read(path):
+    try:
+        found = parser.read(path)
+    except configparser.Error as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    if not found:
         raise OSError(f"cannot read config file {path}")
-    exp = parser["experiment"]
-    sol = parser["solver"] if parser.has_section("solver") else {}
-
-    def ints(raw): return tuple(int(v) for v in raw.split())
-    def floats(raw): return tuple(float(v) for v in raw.split())
-
-    trials = exp.getint("trials", 5)
-    if full and "full_trials" in exp:
-        trials = exp.getint("full_trials")
-    get = sol.get
-    return ExperimentSpec(
-        suite=Suite(exp.get("suite")),
-        m=exp.getint("m", 100), n=exp.getint("n", 100),
-        ranks=ints(exp.get("ranks", "5")),
-        sr=exp.getfloat("sr", 0.4),
-        covs=floats(exp.get("covs", "0.0")),
-        noises=floats(exp.get("noises", "0.0")),
-        trials=trials,
-        solvers=tuple(exp.get("solvers", "ts1-s2").split()),
-        seed=exp.getint("seed", 0),
-        image=exp.get("image", None),
-        mu=float(get("mu", 0.99)),
-        tol=float(get("tol", 1e-6)),
-        max_iters=int(get("max_iters", 5000)),
-        a=float(get("a")) if get("a") else None,
-        lam=float(get("lam")) if get("lam") else None,
-        rank_estimate=int(get("rank_estimate")) if get("rank_estimate") else None,
-        r_min=int(get("r_min", 1)),
-    )
+    raw: dict[str, str] = {}
+    for section in parser.sections():
+        for key, text in parser.items(section):
+            if key in raw:
+                raise ValueError(f"{path}: key {key!r} is set twice")
+            raw[key] = text
+    full_trials = raw.pop("full_trials", None)
+    if full and full_trials is not None:
+        raw["trials"] = full_trials
+    values = {}
+    for key, text in raw.items():
+        if key not in _SPEC_TYPES:
+            raise ValueError(f"{path}: unknown config key {key!r}")
+        try:
+            values[key] = _parse(_SPEC_TYPES[key], text)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {key}: {exc}") from exc
+    for f in fields(ExperimentSpec):
+        if f.default is MISSING and f.name not in values:
+            raise ValueError(f"{path}: missing required key {f.name!r}")
+    return ExperimentSpec(**values)

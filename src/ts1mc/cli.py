@@ -14,7 +14,7 @@ from .bench import (ExperimentSpec, Suite, aggregate_success, build_problem,
                     emit_csv, load_config, run_suite, solver_config)
 from .matrixio import read_matrix_csv, write_matrix_csv, write_pgm
 from .metrics import evaluate
-from .problems import MaskedMatrix
+from .problems import MaskedMatrix, make_descriptors
 from .sampling import SamplingOperator
 from .solvers import Algorithm, solve
 
@@ -111,19 +111,22 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _load_problem(prefix: str):
+def _load_problem(prefix: str, rank: int | None):
+    """Problem files written by gen; descriptors need the known ``rank``."""
     truth_matrix = read_matrix_csv(f"{prefix}.truth.csv")
     observed = read_matrix_csv(f"{prefix}.observed.csv")
-    mask = ~np.isnan(observed)
-    rows, cols = np.nonzero(mask)
+    rows, cols = np.nonzero(~np.isnan(observed))
     op = SamplingOperator(shape=observed.shape, rows=rows, cols=cols)
-    return truth_matrix, MaskedMatrix(op=op, values=observed[rows, cols])
+    descriptors = (None if rank is None
+                   else make_descriptors(*observed.shape, rank, op.p))
+    return truth_matrix, MaskedMatrix(op=op, values=observed[rows, cols],
+                                      descriptors=descriptors)
 
 
 def _cmd_solve(args) -> int:
     spec = _spec(args, Suite.SINGLE, m=args.m, n=args.n, covs=(args.cov,))
     if args.input_prefix:
-        truth_matrix, masked = _load_problem(args.input_prefix)
+        truth_matrix, masked = _load_problem(args.input_prefix, args.rank)
     else:
         if args.rank is None:
             print("solve: --rank is required when generating a problem",

@@ -20,7 +20,6 @@ from .matrix import compute_svd
 from .sampling import SamplingOperator
 
 __all__ = [
-    "GenParams",
     "GroundTruth",
     "Descriptors",
     "MaskedMatrix",
@@ -36,21 +35,11 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class GenParams:
-    m: int
-    n: int
-    rank: int
-    cov: float
-    seed: int
-
-
-@dataclass(frozen=True)
 class GroundTruth:
-    """Full matrix with its nominal rank and generation metadata."""
+    """Full matrix with its nominal rank."""
 
     matrix: np.ndarray
     rank: int
-    gen: GenParams
 
 
 @dataclass(frozen=True)
@@ -101,8 +90,7 @@ def gen_gaussian_lowrank(m: int, n: int, r: int, cov: float = 0.0,
         chol = np.linalg.cholesky((1.0 - cov) * np.eye(r) + cov * np.ones((r, r)))
         ml = rng.standard_normal((m, r)) @ chol.T
         mr = rng.standard_normal((n, r)) @ chol.T
-    return GroundTruth(matrix=ml @ mr.T, rank=r,
-                       gen=GenParams(m=m, n=n, rank=r, cov=cov, seed=seed))
+    return GroundTruth(matrix=ml @ mr.T, rank=r)
 
 
 def sample_uniform(truth: GroundTruth, sr: float, seed: int = 0) -> MaskedMatrix:
@@ -154,8 +142,7 @@ def add_noise(truth: GroundTruth, sigma_noise: float, seed: int = 0) -> GroundTr
     rng = np.random.default_rng(seed)
     eps = rng.standard_normal(truth.matrix.shape)
     scale = sigma_noise * np.linalg.norm(truth.matrix) / np.linalg.norm(eps)
-    return GroundTruth(matrix=truth.matrix + scale * eps, rank=truth.rank,
-                       gen=truth.gen)
+    return GroundTruth(matrix=truth.matrix + scale * eps, rank=truth.rank)
 
 
 def image_to_lowrank_truth(pixels: np.ndarray, target_rank: int) -> GroundTruth:
@@ -175,8 +162,7 @@ def image_to_lowrank_truth(pixels: np.ndarray, target_rank: int) -> GroundTruth:
     f = compute_svd(pixels)
     k = target_rank
     approx = (f.u[:, :k] * f.sigma[:k]) @ f.v[:, :k].T
-    return GroundTruth(matrix=approx, rank=k,
-                       gen=GenParams(m=m, n=n, rank=k, cov=0.0, seed=0))
+    return GroundTruth(matrix=approx, rank=k)
 
 
 def synthetic_test_image(m: int = 128, n: int = 128) -> np.ndarray:

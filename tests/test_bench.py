@@ -55,12 +55,14 @@ class TestRunSuite:
         records = run_suite(tiny_spec(sr=1.0, trials=1))
         assert records[0].rel_err < 1e-9
 
-    def test_grid_suites_cross_parameters(self):
-        spec = tiny_spec(suite=Suite.TABLE_COV_KNOWN_RANK, ranks=(2, 3),
-                         covs=(0.0, 0.5), trials=1)
+    @pytest.mark.parametrize("suite", [s for s in Suite if s is not Suite.INPAINT])
+    def test_grid_suites_cross_parameters(self, suite):
+        spec = tiny_spec(suite=suite, ranks=(2, 3), covs=(0.0, 0.5),
+                         noises=(0.0, 0.01), trials=1, max_iters=50)
         records = run_suite(spec)
-        combos = {(rec.r, rec.cov) for rec in records}
-        assert combos == {(2, 0.0), (2, 0.5), (3, 0.0), (3, 0.5)}
+        assert [(rec.r, rec.cov, rec.sigma_noise) for rec in records] == [
+            (r, cov, noise) for r in (2, 3) for cov in (0.0, 0.5)
+            for noise in (0.0, 0.01)]
 
     def test_rank_estimate_suite_reports_estimate(self):
         spec = tiny_spec(suite=Suite.TABLE_RANK_ESTIMATE, m=60, n=60,
@@ -169,6 +171,16 @@ class TestCsv:
         with pytest.raises(ValueError):
             read_csv(path)
 
+    def test_short_row_rejected(self, tmp_path):
+        path = tmp_path / "short.csv"
+        emit_csv(random_records(2), path)
+        lines = path.read_text().splitlines()
+        lines[2] = lines[2].rsplit(",", 3)[0]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"short.csv: line 3 has 14 fields, "
+                                             f"expected {len(CSV_COLUMNS)}"):
+            read_csv(path)
+
     def test_unwritable_path(self):
         with pytest.raises(OSError):
             emit_csv([], "/nonexistent-dir/records.csv")
@@ -201,6 +213,29 @@ class TestConfigFiles:
     def test_missing_file(self):
         with pytest.raises(OSError):
             load_config("/no/such/file.cfg")
+
+    def test_keys_may_sit_in_either_section(self, tmp_path):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("[experiment]\nmu = 0.5\na =\n"
+                       "[solver]\nsuite = single\nlam = 0.2\n")
+        assert load_config(cfg) == ExperimentSpec(suite=Suite.SINGLE, mu=0.5,
+                                                  lam=0.2)
+
+    @pytest.mark.parametrize("text, message", [
+        ("[experiment]\nsuite = single\n[solver]\nmax_iter = 3\n",
+         "unknown config key 'max_iter'"),
+        ("[solver]\nmax_iters = 3\n", "missing required key 'suite'"),
+        ("[experiment]\nsuite = single\nmu = 0.5\n[solver]\nmu = 0.9\n",
+         "key 'mu' is set twice"),
+        ("[experiment]\nsuite = single\nranks = 4 x\n", "ranks: invalid"),
+        ("suite = single\n", "no section headers"),
+    ], ids=["unknown-key", "missing-suite", "key-twice", "bad-value",
+            "no-section"])
+    def test_invalid_config_rejected(self, tmp_path, text, message):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            load_config(cfg)
 
     def test_shipped_configs_parse(self):
         from importlib import resources

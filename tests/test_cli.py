@@ -66,13 +66,19 @@ class TestReplay:
         assert self._metrics(capsys.readouterr().out) == (
             f"{row.rel_err:.6e}", str(row.iterations))
 
-    def test_gen_then_solve_matches_solve_on_the_fly(self, tmp_path, capsys):
+    # ts1-s1 rank estimation picks a from the freedom ratio, so the problem
+    # read back from files must carry the same descriptors.
+    @pytest.mark.parametrize("flags", [
+        [], ["--solver", "ts1-s1", "--rank-estimate", "5"]],
+        ids=["known-rank", "rank-estimate"])
+    def test_gen_then_solve_matches_solve_on_the_fly(self, tmp_path, capsys,
+                                                     flags):
         prefix = str(tmp_path / "prob")
         assert cli_main(["gen", "--out", prefix] + self.ARGS) == 0
         capsys.readouterr()
-        assert cli_main(["solve", "--in", prefix, "--rank", "3"]) == 0
+        assert cli_main(["solve", "--in", prefix, "--rank", "3"] + flags) == 0
         from_files = self._metrics(capsys.readouterr().out)
-        assert cli_main(["solve"] + self.ARGS) == 0
+        assert cli_main(["solve"] + self.ARGS + flags) == 0
         assert self._metrics(capsys.readouterr().out) == from_files
 
 
@@ -122,6 +128,18 @@ class TestBench:
         assert cli_main(["bench", "--config", "/no/such.cfg",
                          "--out", "/tmp/x.csv"]) == 1
         assert "bench" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, named", [
+        ("[solver]\nmax_iters = 10\n", "missing required key 'suite'"),
+        ("[experiment]\nsuite = single\n[solver]\nmax_iter = 3\n",
+         "unknown config key 'max_iter'")], ids=["missing-suite", "unknown-key"])
+    def test_invalid_config_exits_1(self, tmp_path, capsys, text, named):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "records.csv"
+        assert cli_main(["bench", "--config", str(cfg), "--out", str(out)]) == 1
+        assert named in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestInpaint:
