@@ -71,13 +71,13 @@ class ExperimentSpec:
     trials: int = 5
     solvers: tuple[str, ...] = ("ts1-s2",)
     seed: int = 0
-    mu: float = 0.99
-    tol: float = 1e-6
-    max_iters: int = 5000
+    mu: float = SolverConfig.mu
+    tol: float = SolverConfig.tol
+    max_iters: int = SolverConfig.max_iters
     a: float | None = None
     lam: float | None = None
     rank_estimate: int | None = None
-    r_min: int = 1
+    r_min: int = RankEstimate.r_min
     image: str | None = None
 
     def __post_init__(self):
@@ -152,9 +152,9 @@ def _derive_seed(*parts: int) -> int:
         1, dtype=np.uint64)[0])
 
 
-def solver_config(spec: ExperimentSpec, name: str, r: int | None,
+def solver_config(spec: ExperimentSpec, name: str, r: int,
                   noise: float) -> SolverConfig:
-    """Solver settings of one cell; ``r`` is None when the rank is unknown."""
+    """Solver settings of one cell of rank ``r`` and noise level ``noise``."""
     alg = Algorithm(name)
     estimating = (spec.rank_estimate is not None
                   or spec.suite is Suite.TABLE_RANK_ESTIMATE)
@@ -162,7 +162,7 @@ def solver_config(spec: ExperimentSpec, name: str, r: int | None,
         k = spec.rank_estimate if spec.rank_estimate is not None else int(1.5 * r)
         rank = RankEstimate(k=k, r_min=spec.r_min)
     else:
-        rank = KnownRank(r=r) if r is not None else None
+        rank = KnownRank(r=r)
     lam = spec.lam
     if alg is Algorithm.NUCLEAR and lam is None:
         lam = default_nuclear_lam(noise)

@@ -6,7 +6,7 @@ import argparse
 import math
 import sys
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -19,27 +19,32 @@ from .sampling import SamplingOperator
 from .solvers import Algorithm, solve
 
 
+# Flags named after an ExperimentSpec field have no default: an unset flag
+# keeps the field's.  These flags give the one value of a tuple field.
+_GRID_FLAGS = {"rank": "ranks", "cov": "covs", "noise": "noises", "solver": "solvers"}
+_SPEC_FIELDS = {f.name for f in fields(ExperimentSpec)}
+
+
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--solver", default="ts1-s2",
-                   choices=[a.value for a in Algorithm])
+    p.add_argument("--solver", choices=[a.value for a in Algorithm])
     p.add_argument("--rank", type=int, help="known rank r")
     p.add_argument("--rank-estimate", type=int, metavar="K",
                    help="overestimated initial rank (enables estimation)")
-    p.add_argument("--r-min", type=int, default=1)
-    p.add_argument("--mu", type=float, default=0.99)
-    p.add_argument("--a", type=float, default=None)
-    p.add_argument("--lam", type=float, default=None)
-    p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--max-iters", type=int, default=5000)
+    p.add_argument("--r-min", type=int)
+    p.add_argument("--mu", type=float)
+    p.add_argument("--a", type=float)
+    p.add_argument("--lam", type=float)
+    p.add_argument("--tol", type=float)
+    p.add_argument("--max-iters", type=int)
 
 
 def _add_gen_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--m", type=int, default=100)
-    p.add_argument("--n", type=int, default=100)
-    p.add_argument("--sr", type=float, default=0.4)
-    p.add_argument("--cov", type=float, default=0.0)
-    p.add_argument("--noise", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--m", type=int)
+    p.add_argument("--n", type=int)
+    p.add_argument("--sr", type=float)
+    p.add_argument("--cov", type=float)
+    p.add_argument("--noise", type=float)
+    p.add_argument("--seed", type=int)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -68,37 +73,39 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, help="override the config seed")
 
     p = sub.add_parser("inpaint", help="image inpainting pipeline")
-    p.add_argument("--image", default="synthetic",
-                   help="PGM path, or 'synthetic' for the built-in pattern")
-    p.add_argument("--sr", type=float, default=0.4)
-    p.add_argument("--noise", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--image", help="PGM path, or 'synthetic' (the default) "
+                   "for the built-in pattern")
+    p.add_argument("--sr", type=float)
+    p.add_argument("--noise", type=float)
+    p.add_argument("--seed", type=int)
     _add_solver_flags(p)
     p.add_argument("--out", metavar="PREFIX",
                    help="write PREFIX.recovered.pgm and PREFIX.observed.pgm")
     return parser
 
 
-def _spec(args, suite: Suite, **fields) -> ExperimentSpec:
-    """One-trial suite whose first cell is the problem the flags describe."""
-    return ExperimentSpec(suite=suite, ranks=(args.rank,), sr=args.sr,
-                          noises=(args.noise,), trials=1, seed=args.seed,
-                          **fields)
+def _spec(args, suite: Suite, **fixed) -> ExperimentSpec:
+    """One-trial suite whose first cell is the problem the set flags describe."""
+    values = {}
+    for name, value in vars(args).items():
+        if name in _GRID_FLAGS and value is not None:
+            name, value = _GRID_FLAGS[name], (value,)
+        if name in _SPEC_FIELDS and value is not None:
+            values[name] = value
+    return ExperimentSpec(suite=suite, trials=1, **values, **fixed)
 
 
-def _solve(args, spec: ExperimentSpec, masked: MaskedMatrix, truth_matrix):
-    """Solve with the solver flags' settings: (report, metrics, seconds)."""
-    spec = replace(spec, mu=args.mu, a=args.a, lam=args.lam, tol=args.tol,
-                   max_iters=args.max_iters, rank_estimate=args.rank_estimate,
-                   r_min=args.r_min)
+def _solve(spec: ExperimentSpec, masked: MaskedMatrix, truth_matrix):
+    """Solve the spec's first cell: (report, metrics, seconds)."""
+    config = solver_config(spec, spec.solvers[0], spec.ranks[0], spec.noises[0])
     t0 = time.perf_counter()
-    report = solve(masked, solver_config(spec, args.solver, args.rank, args.noise))
+    report = solve(masked, config)
     wall = time.perf_counter() - t0
     return report, evaluate(report.x_opt, truth_matrix), wall
 
 
 def _cmd_gen(args) -> int:
-    spec = _spec(args, Suite.SINGLE, m=args.m, n=args.n, covs=(args.cov,))
+    spec = _spec(args, Suite.SINGLE)
     truth, masked = build_problem(spec, 0, 0)
     write_matrix_csv(f"{args.out}.truth.csv", truth.matrix)
     observed = np.full(masked.shape, math.nan)
@@ -106,27 +113,32 @@ def _cmd_gen(args) -> int:
     write_matrix_csv(f"{args.out}.observed.csv", observed)
     d = masked.descriptors
     print(f"wrote {args.out}.truth.csv and {args.out}.observed.csv "
-          f"(m={args.m} n={args.n} r={args.rank} p={masked.p} "
+          f"(m={spec.m} n={spec.n} r={truth.rank} p={masked.p} "
           f"SR={d.sr:.4f} FR={d.fr:.4f} r_m={d.r_m})")
     return 0
 
 
 def _load_problem(prefix: str, rank: int | None):
-    """Problem files written by gen; descriptors need the known ``rank``."""
+    """Problem files written by gen: (rank, truth, problem).
+
+    Without ``rank`` the truth's numerical rank is used, as bench would.
+    """
     truth_matrix = read_matrix_csv(f"{prefix}.truth.csv")
     observed = read_matrix_csv(f"{prefix}.observed.csv")
+    if rank is None:
+        rank = int(np.linalg.matrix_rank(truth_matrix))
     rows, cols = np.nonzero(~np.isnan(observed))
     op = SamplingOperator(shape=observed.shape, rows=rows, cols=cols)
-    descriptors = (None if rank is None
-                   else make_descriptors(*observed.shape, rank, op.p))
-    return truth_matrix, MaskedMatrix(op=op, values=observed[rows, cols],
-                                      descriptors=descriptors)
+    return rank, truth_matrix, MaskedMatrix(
+        op=op, values=observed[rows, cols],
+        descriptors=make_descriptors(*observed.shape, rank, op.p))
 
 
 def _cmd_solve(args) -> int:
-    spec = _spec(args, Suite.SINGLE, m=args.m, n=args.n, covs=(args.cov,))
+    spec = _spec(args, Suite.SINGLE)
     if args.input_prefix:
-        truth_matrix, masked = _load_problem(args.input_prefix, args.rank)
+        r, truth_matrix, masked = _load_problem(args.input_prefix, args.rank)
+        spec = replace(spec, ranks=(r,))
     else:
         if args.rank is None:
             print("solve: --rank is required when generating a problem",
@@ -134,11 +146,11 @@ def _cmd_solve(args) -> int:
             return 1
         truth, masked = build_problem(spec, 0, 0)
         truth_matrix = truth.matrix
-    report, met, wall = _solve(args, spec, masked, truth_matrix)
+    report, met, wall = _solve(spec, masked, truth_matrix)
     extra = ""
     if report.rank_estimate is not None:
         extra = f" rank_est={report.rank_estimate}"
-    print(f"solver={args.solver} rel.err={met.rel_err:.6e} "
+    print(f"solver={spec.solvers[0]} rel.err={met.rel_err:.6e} "
           f"iterations={report.iterations} converged={report.converged}"
           f"{extra} time={wall:.2f}s")
     if args.out:
@@ -168,10 +180,10 @@ def _cmd_inpaint(args) -> int:
         print("inpaint: --rank is required", file=sys.stderr)
         return 1
     # m, n only size the synthetic pattern; a PGM image brings its own.
-    spec = _spec(args, Suite.INPAINT, m=128, n=128, image=args.image)
+    spec = _spec(args, Suite.INPAINT, m=128, n=128)
     truth, masked = build_problem(spec, 0, 0)
-    report, met, wall = _solve(args, spec, masked, truth.matrix)
-    print(f"solver={args.solver} psnr={met.psnr:.2f}dB mse={met.mse:.3e} "
+    report, met, wall = _solve(spec, masked, truth.matrix)
+    print(f"solver={spec.solvers[0]} psnr={met.psnr:.2f}dB mse={met.mse:.3e} "
           f"rel.err={met.rel_err:.4e} iterations={report.iterations} "
           f"time={wall:.2f}s")
     if args.out:

@@ -59,7 +59,9 @@ def read_pgm(path) -> np.ndarray:
         if len(values) != width * height:
             raise ValueError(f"{path}: expected {width * height} samples, "
                              f"got {len(values)}")
-        raster = np.array(values, dtype=np.uint8)
+        raster = np.array(values)
+    if raster.min() < 0 or raster.max() > maxval:
+        raise ValueError(f"{path}: samples must lie in [0, {maxval}]")
     return raster.reshape(height, width).astype(float) / maxval
 
 

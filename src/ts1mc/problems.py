@@ -83,13 +83,9 @@ def gen_gaussian_lowrank(m: int, n: int, r: int, cov: float = 0.0,
     if not 0.0 <= cov < 1.0:
         raise ValueError(f"cov must lie in [0, 1), got {cov}")
     rng = np.random.default_rng(seed)
-    if cov == 0.0:
-        ml = rng.standard_normal((m, r))
-        mr = rng.standard_normal((n, r))
-    else:
-        chol = np.linalg.cholesky((1.0 - cov) * np.eye(r) + cov * np.ones((r, r)))
-        ml = rng.standard_normal((m, r)) @ chol.T
-        mr = rng.standard_normal((n, r)) @ chol.T
+    chol = np.linalg.cholesky((1.0 - cov) * np.eye(r) + cov * np.ones((r, r)))
+    ml = rng.standard_normal((m, r)) @ chol.T
+    mr = rng.standard_normal((n, r)) @ chol.T
     return GroundTruth(matrix=ml @ mr.T, rank=r)
 
 
@@ -135,8 +131,9 @@ def add_noise(truth: GroundTruth, sigma_noise: float, seed: int = 0) -> GroundTr
 
     The relative Frobenius perturbation equals sigma_noise exactly.
     """
-    if sigma_noise < 0:
-        raise ValueError(f"noise level must be nonnegative, got {sigma_noise}")
+    if not (math.isfinite(sigma_noise) and sigma_noise >= 0):
+        raise ValueError(
+            f"noise level must be finite and nonnegative, got {sigma_noise}")
     if sigma_noise == 0.0:
         return truth
     rng = np.random.default_rng(seed)
@@ -148,8 +145,7 @@ def add_noise(truth: GroundTruth, sigma_noise: float, seed: int = 0) -> GroundTr
 def image_to_lowrank_truth(pixels: np.ndarray, target_rank: int) -> GroundTruth:
     """Best rank-``target_rank`` approximation of a grayscale image.
 
-    Pixel values are normalized to [0, 1] (dividing by 255 when the input
-    looks like 8-bit data) before truncating the SVD.
+    Pixel values must lie in [0, 1], as ``read_pgm`` returns them.
     """
     pixels = np.asarray(pixels, dtype=float)
     if pixels.ndim != 2:
@@ -157,8 +153,8 @@ def image_to_lowrank_truth(pixels: np.ndarray, target_rank: int) -> GroundTruth:
     m, n = pixels.shape
     if not 1 <= target_rank <= min(m, n):
         raise ValueError(f"target rank {target_rank} out of range for {pixels.shape}")
-    if pixels.max() > 1.0:
-        pixels = pixels / 255.0
+    if not (pixels.min() >= 0.0 and pixels.max() <= 1.0):
+        raise ValueError("pixel values must lie in [0, 1]")
     f = compute_svd(pixels)
     k = target_rank
     approx = (f.u[:, :k] * f.sigma[:k]) @ f.v[:, :k].T

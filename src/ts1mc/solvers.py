@@ -18,8 +18,10 @@ The working rank is either supplied (known-rank mode) or maintained by a
 one-shot eigengap estimator that may lower an overestimate once.
 
 Every scheme runs one kernel, ``fixed_point_step``: gradient step, SVD, a
-per-scheme ``select(sigma)`` policy, reconstruction.  A new spectral
-backend belongs behind its ``compute_svd``.
+per-scheme ``select(sigma) -> (g, Threshold)`` policy, reconstruction.  The
+``Threshold`` record carries the step's (a, lambda_mu, t, keep_boundary) in
+``threshold_spectrum``'s argument order and fills the iteration history.  A
+new spectral backend belongs behind ``compute_svd``.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .matrix import compute_svd, singular_values, threshold_spectrum
 from .problems import MaskedMatrix
 from .sampling import (ObjectiveContext, SamplingOperator, check_penalty,
                        gradient_step)
-from .scalar import ThresholdRegime, make_threshold_params
+from .scalar import make_threshold_params
 
 __all__ = [
     "Algorithm",
@@ -43,6 +45,7 @@ __all__ = [
     "SolverConfig",
     "IterationRecord",
     "SolveReport",
+    "Threshold",
     "solve",
     "fixed_point_step",
     "ts1_it_step",
@@ -133,19 +136,16 @@ class SolveReport:
         return self.history[-1]
 
 
-class S1Selection(NamedTuple):
-    lambda_n: float
-    t_n: float
-    regime: ThresholdRegime
+class Threshold(NamedTuple):
+    """One step's thresholding parameters, in ``threshold_spectrum`` order."""
 
-
-class S2Selection(NamedTuple):
+    a: float
     lambda_mu: float
-    a_n: float
-    t_n: float
+    t: float
+    keep_boundary: bool = False
 
 
-def ts1_s1_select_lambda(sigma_b, r: int, mu: float, a: float) -> S1Selection:
+def ts1_s1_select_lambda(sigma_b, r: int, mu: float, a: float) -> Threshold:
     """Per-step penalty weight for the semi-adaptive scheme.
 
     With sigma_b the spectrum of the gradient-step matrix, the candidate
@@ -164,16 +164,14 @@ def ts1_s1_select_lambda(sigma_b, r: int, mu: float, a: float) -> S1Selection:
     if lam1 <= a * a / (2.0 * (a + 1.0) * mu):
         if lam1 * mu < LAMBDA_MU_FLOOR:
             lam1 = LAMBDA_MU_FLOOR / mu
-            t = make_threshold_params(a, lam1 * mu).t
-        else:
-            t = s_r1
-        return S1Selection(lambda_n=lam1, t_n=t, regime=ThresholdRegime.SUB_CRITICAL)
+            return Threshold(a, lam1 * mu, make_threshold_params(a, lam1 * mu).t)
+        return Threshold(a, lam1 * mu, s_r1)
     s_r = float(sigma_b[r - 1])
     lam2 = (a + 2.0 * s_r) ** 2 / (8.0 * (a + 1.0) * mu)
-    return S1Selection(lambda_n=lam2, t_n=s_r, regime=ThresholdRegime.SUPER_CRITICAL)
+    return Threshold(a, lam2 * mu, s_r, keep_boundary=True)
 
 
-def ts1_s2_select_params(sigma_b, r: int, mu: float) -> S2Selection:
+def ts1_s2_select_params(sigma_b, r: int, mu: float) -> Threshold:
     """Per-step penalty weight and shape for the fully adaptive scheme.
 
     The product lambda*mu is set to 2 sigma_{r+1}^2 / (1 + 2 sigma_{r+1})
@@ -189,19 +187,18 @@ def ts1_s2_select_params(sigma_b, r: int, mu: float) -> S2Selection:
     if lambda_mu < LAMBDA_MU_FLOOR:
         lambda_mu = LAMBDA_MU_FLOOR
         root = np.sqrt(lambda_mu * lambda_mu + 2.0 * lambda_mu)
-        return S2Selection(lambda_mu=lambda_mu, a_n=lambda_mu + root,
-                           t_n=lambda_mu / 2.0 + root / 2.0)
+        return Threshold(lambda_mu + root, lambda_mu,
+                         lambda_mu / 2.0 + root / 2.0)
     root = np.sqrt(lambda_mu * lambda_mu + 2.0 * lambda_mu)
-    return S2Selection(lambda_mu=lambda_mu, a_n=lambda_mu + root, t_n=s_r1)
+    return Threshold(lambda_mu + root, lambda_mu, s_r1)
 
 
-def eigengap_from_sigma(sigma, k: int, r_min: int = 1,
-                        floor: float = EIGENVALUE_FLOOR) -> tuple[int, bool, float]:
+def eigengap_from_sigma(sigma, k: int, r_min: int = 1) -> tuple[int, bool, float]:
     """Rank-decreasing eigengap test on a nonincreasing spectrum.
 
     Forms the eigenvalues lam_i = sigma_i^2 for i = r_min .. k+1 and their
     consecutive quotients.  Quotients whose denominator fell below
-    ``floor`` are dropped (exact-zero tails would otherwise win
+    EIGENVALUE_FLOOR are dropped (exact-zero tails would otherwise win
     spuriously).  Returns (k_new, adjusted, tau): the index of the largest
     quotient becomes the new estimate when its dominance statistic tau
     strictly exceeds 10.
@@ -212,7 +209,7 @@ def eigengap_from_sigma(sigma, k: int, r_min: int = 1,
     lam = sigma ** 2
     num = lam[r_min - 1:k]
     den = lam[r_min:k + 1]
-    valid = den >= floor
+    valid = den >= EIGENVALUE_FLOOR
     if int(valid.sum()) < 2:
         return k, False, 0.0
     quotients = num[valid] / den[valid]
@@ -232,21 +229,22 @@ def estimate_rank(x: np.ndarray, k: int, r_min: int = 1) -> tuple[int, bool, flo
 
 def fixed_point_step(x: np.ndarray, op: SamplingOperator, b: np.ndarray,
                      mu: float, select: Callable) -> tuple[np.ndarray, tuple]:
-    """One step X <- G(B_mu(X)); ``select`` maps sigma to (g, lambda_mu, a, t)."""
+    """One step X <- G(B_mu(X)); ``select`` maps sigma to (g, Threshold)."""
     f = compute_svd(gradient_step(x, op, b, mu))
-    sel = select(f.sigma)
-    return (f.u * sel[0]) @ f.v.T, sel
+    g, th = select(f.sigma)
+    return (f.u * g) @ f.v.T, (g, th)
 
 
 def _ts1_threshold(a: float, lambda_mu: float) -> Callable:
     """ts1-it's policy: the TS1 prox at fixed (a, lambda_mu)."""
-    t = make_threshold_params(a, lambda_mu).t
-    return lambda sigma: (threshold_spectrum(sigma, a, lambda_mu, t), lambda_mu, a, t)
+    th = Threshold(a, lambda_mu, make_threshold_params(a, lambda_mu).t)
+    return lambda sigma: (threshold_spectrum(sigma, *th), th)
 
 
 def _soft_threshold(lambda_mu: float) -> Callable:
     """nuclear's policy: soft-thresholding by lambda_mu."""
-    return lambda sigma: (np.maximum(sigma - lambda_mu, 0.0), lambda_mu, 0.0, lambda_mu)
+    th = Threshold(0.0, lambda_mu, lambda_mu)
+    return lambda sigma: (np.maximum(sigma - lambda_mu, 0.0), th)
 
 
 class _AdaptiveThreshold:
@@ -267,14 +265,10 @@ class _AdaptiveThreshold:
             if self.adjusted and cfg.a is None:
                 self.a = KNOWN_RANK_DEFAULT_A
         if cfg.algorithm is Algorithm.TS1_S2:
-            sel = ts1_s2_select_params(sigma, self.rank, cfg.mu)
-            a, lambda_mu, t, keep = sel.a_n, sel.lambda_mu, sel.t_n, False
+            th = ts1_s2_select_params(sigma, self.rank, cfg.mu)
         else:
-            sel = ts1_s1_select_lambda(sigma, self.rank, cfg.mu, self.a)
-            a, lambda_mu, t = self.a, sel.lambda_n * cfg.mu, sel.t_n
-            keep = sel.regime is ThresholdRegime.SUPER_CRITICAL
-        g = threshold_spectrum(sigma, a, lambda_mu, t, keep_boundary=keep)
-        return g, lambda_mu, a, t
+            th = ts1_s1_select_lambda(sigma, self.rank, cfg.mu, self.a)
+        return threshold_spectrum(sigma, *th), th
 
 
 def ts1_it_step(x: np.ndarray, ctx: ObjectiveContext) -> np.ndarray:
@@ -307,7 +301,7 @@ def _validate(problem: MaskedMatrix, config: SolverConfig) -> None:
         raise ValueError("observed values must be finite")
     if not 0.0 < config.mu < 1.0:
         raise ValueError(f"mu must lie in (0, 1), got {config.mu}")
-    if config.tol <= 0 or config.max_iters < 1:
+    if not config.tol > 0 or config.max_iters < 1:
         raise ValueError("tol must be positive and max_iters at least 1")
     check_penalty(config.lam, config.a)
     alg = config.algorithm
@@ -349,12 +343,12 @@ def solve(problem: MaskedMatrix, config: SolverConfig) -> SolveReport:
     converged = False
     it = 0
     for it in range(1, config.max_iters + 1):
-        x_next, (g, lambda_mu, a, t) = fixed_point_step(
+        x_next, (g, th) = fixed_point_step(
             x, problem.op, problem.values, config.mu, select)
         residual = float(np.linalg.norm(x_next - x)
                          / max(np.linalg.norm(x), 1.0))
         history.append(IterationRecord(
-            residual=residual, lambda_mu=lambda_mu, a=a, t=t,
+            residual=residual, lambda_mu=th.lambda_mu, a=th.a, t=th.t,
             rank=select.rank if adaptive else int(np.count_nonzero(g))))
         x = x_next
         if residual <= config.tol:

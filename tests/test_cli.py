@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from ts1mc.bench import read_csv
-from ts1mc.cli import cli_main
+from ts1mc.bench import ExperimentSpec, Suite, read_csv
+from ts1mc.cli import _spec, build_parser, cli_main
 from ts1mc.matrixio import read_matrix_csv, read_pgm, write_matrix_csv, write_pgm
 from ts1mc.problems import synthetic_test_image
 
@@ -67,16 +67,19 @@ class TestReplay:
             f"{row.rel_err:.6e}", str(row.iterations))
 
     # ts1-s1 rank estimation picks a from the freedom ratio, so the problem
-    # read back from files must carry the same descriptors.
-    @pytest.mark.parametrize("flags", [
-        [], ["--solver", "ts1-s1", "--rank-estimate", "5"]],
-        ids=["known-rank", "rank-estimate"])
+    # read back from files must carry the same descriptors; without --rank
+    # they come from the rank of the truth file.
+    @pytest.mark.parametrize("flags, rank_flags", [
+        ([], ["--rank", "3"]),
+        (["--solver", "ts1-s1", "--rank-estimate", "5"], ["--rank", "3"]),
+        (["--solver", "ts1-s1", "--rank-estimate", "5"], [])],
+        ids=["known-rank", "rank-estimate", "rank-estimate-no-rank"])
     def test_gen_then_solve_matches_solve_on_the_fly(self, tmp_path, capsys,
-                                                     flags):
+                                                     flags, rank_flags):
         prefix = str(tmp_path / "prob")
         assert cli_main(["gen", "--out", prefix] + self.ARGS) == 0
         capsys.readouterr()
-        assert cli_main(["solve", "--in", prefix, "--rank", "3"] + flags) == 0
+        assert cli_main(["solve", "--in", prefix] + rank_flags + flags) == 0
         from_files = self._metrics(capsys.readouterr().out)
         assert cli_main(["solve"] + self.ARGS + flags) == 0
         assert self._metrics(capsys.readouterr().out) == from_files
@@ -98,6 +101,32 @@ class TestInvalidInput:
         assert cli_main(["solve", "--m", "20", "--n", "20", "--rank", "2",
                          "--solver", "nuclear", "--lam", "-1"]) == 1
         assert "lam must be nonnegative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, message", [
+        ("--tol", "tol must be positive"),
+        ("--noise", "noise level must be finite")], ids=["tol", "noise"])
+    def test_nan_setting(self, capsys, flag, message):
+        assert cli_main(["solve", "--m", "20", "--n", "20", "--rank", "2",
+                         "--max-iters", "50", flag, "nan"]) == 1
+        assert message in capsys.readouterr().err
+
+
+class TestFlagsAndSpec:
+    def test_unset_flags_keep_the_spec_defaults(self):
+        args = build_parser().parse_args(["solve"])
+        assert _spec(args, Suite.SINGLE) == ExperimentSpec(Suite.SINGLE, trials=1)
+
+    def test_set_flags_fill_their_fields(self):
+        args = build_parser().parse_args([
+            "solve", "--m", "30", "--n", "20", "--sr", "0.5", "--cov", "0.2",
+            "--noise", "0.1", "--seed", "4", "--solver", "ts1-s1",
+            "--rank", "3", "--rank-estimate", "6", "--r-min", "2",
+            "--mu", "0.9", "--a", "2", "--lam", "0.1", "--tol", "1e-5",
+            "--max-iters", "7"])
+        assert _spec(args, Suite.SINGLE) == ExperimentSpec(
+            Suite.SINGLE, m=30, n=20, ranks=(3,), sr=0.5, covs=(0.2,),
+            noises=(0.1,), trials=1, solvers=("ts1-s1",), seed=4, mu=0.9,
+            tol=1e-5, max_iters=7, a=2.0, lam=0.1, rank_estimate=6, r_min=2)
 
 
 class TestBench:
@@ -169,6 +198,12 @@ class TestInpaint:
 
     def test_rank_required(self, capsys):
         assert cli_main(["inpaint", "--sr", "0.5"]) == 1
+
+    def test_sample_above_maxval_exits_1(self, tmp_path, capsys):
+        src = tmp_path / "big.pgm"
+        src.write_bytes(b"P2\n2 2\n255\n300 4 5 6\n")
+        assert cli_main(["inpaint", "--image", str(src), "--rank", "1"]) == 1
+        assert "samples must lie in [0, 255]" in capsys.readouterr().err
 
 
 class TestUsageErrors:

@@ -49,6 +49,18 @@ class TestPgm:
         with pytest.raises(ValueError):
             read_pgm(path)
 
+    @pytest.mark.parametrize("content", [
+        b"P2\n2 1\n255\n300 4\n",           # would overflow an 8-bit sample
+        b"P2\n2 2\n100\n200 5 1 1\n",       # above maxval, would read as 2.0
+        b"P2\n2 1\n255\n-1 4\n",
+        b"P5\n2 1\n100\n\xc8\x05",         # byte 200 under maxval 100
+    ], ids=["p2-overflow", "p2-above-maxval", "p2-negative", "p5-above-maxval"])
+    def test_sample_outside_maxval_rejected(self, tmp_path, content):
+        path = tmp_path / "bad.pgm"
+        path.write_bytes(content)
+        with pytest.raises(ValueError, match="samples must lie in"):
+            read_pgm(path)
+
     def test_clipping_out_of_range(self, tmp_path):
         path = tmp_path / "clip.pgm"
         write_pgm(path, np.array([[-0.5, 1.5]]))

@@ -156,6 +156,12 @@ class TestAddNoise:
         with pytest.raises(ValueError):
             add_noise(truth, -0.1, seed=0)
 
+    @pytest.mark.parametrize("sigma", [np.nan, np.inf])
+    def test_nonfinite_sigma_rejected(self, sigma):
+        truth = gen_gaussian_lowrank(10, 10, 2, 0.0, seed=0)
+        with pytest.raises(ValueError, match="finite"):
+            add_noise(truth, sigma, seed=0)
+
 
 class TestImageTruth:
     def test_full_rank_identity(self):
@@ -178,10 +184,13 @@ class TestImageTruth:
             rhs = float(np.sum(sigma[k:] ** 2))
             assert lhs == pytest.approx(rhs, rel=1e-8, abs=1e-10)
 
-    def test_eight_bit_input_normalized(self):
-        img = (synthetic_test_image(16, 16) * 255).round()
-        truth = image_to_lowrank_truth(img, 16)
-        assert truth.matrix.max() <= 1.0 + 1e-12
+    @pytest.mark.parametrize("bad", [255.0, 1.5, -0.1, np.nan])
+    def test_out_of_range_pixels_rejected(self, bad):
+        # 8-bit data must be scaled by the reader (read_pgm), not guessed at
+        img = synthetic_test_image(16, 16)
+        img[3, 4] = bad
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            image_to_lowrank_truth(img, 4)
 
     def test_rank_bounds(self):
         img = synthetic_test_image(16, 16)

@@ -6,7 +6,7 @@ import pytest
 from ts1mc.matrix import singular_values
 from ts1mc.problems import gen_gaussian_lowrank, sample_uniform
 from ts1mc.sampling import ObjectiveContext
-from ts1mc.scalar import ThresholdRegime, make_threshold_params
+from ts1mc.scalar import make_threshold_params
 from ts1mc.solvers import (LAMBDA_MU_FLOOR, Algorithm, KnownRank, RankEstimate,
                            SolverConfig, eigengap_from_sigma, estimate_rank,
                            nuclear_baseline_step, resolve_a, solve,
@@ -24,24 +24,25 @@ class TestS1Selection:
         sigma = np.zeros(5)
         sigma[0], sigma[1] = 2.0, 0.1  # sigma_r = 2, sigma_{r+1} = 0.1 at r=1
         sel = ts1_s1_select_lambda(sigma, r=1, mu=0.5, a=1.0)
-        assert sel.lambda_n == pytest.approx(0.1, abs=1e-15)
-        assert sel.t_n == pytest.approx(0.1, abs=1e-15)
-        assert sel.regime is ThresholdRegime.SUB_CRITICAL
+        assert sel.a == 1.0
+        assert sel.lambda_mu == pytest.approx(0.1 * 0.5, abs=1e-15)
+        assert sel.t == pytest.approx(0.1, abs=1e-15)
+        assert not sel.keep_boundary  # sub-critical
 
     def test_exact_rank_iterate_floors_lambda(self):
         sigma = np.array([3.0, 2.0, 0.0, 0.0])
         sel = ts1_s1_select_lambda(sigma, r=2, mu=0.5, a=1.0)
-        assert sel.lambda_n * 0.5 == pytest.approx(LAMBDA_MU_FLOOR, rel=1e-12)
-        assert sel.t_n > 0.0
+        assert sel.lambda_mu == pytest.approx(LAMBDA_MU_FLOOR, rel=1e-12)
+        assert sel.t > 0.0
 
     def test_supercritical_branch(self):
         # sigma_{r+1} > a/2 forces the lam2 branch; threshold sits at sigma_r
         sigma = np.array([5.0, 3.0, 2.0, 1.0])
         sel = ts1_s1_select_lambda(sigma, r=2, mu=0.99, a=1.0)
-        assert sel.regime is ThresholdRegime.SUPER_CRITICAL
-        assert sel.t_n == pytest.approx(3.0, abs=1e-12)
+        assert sel.keep_boundary  # super-critical
+        assert sel.t == pytest.approx(3.0, abs=1e-12)
         lam2 = (1.0 + 2.0 * 3.0) ** 2 / (8.0 * 2.0 * 0.99)
-        assert sel.lambda_n == pytest.approx(lam2, rel=1e-12)
+        assert sel.lambda_mu == pytest.approx(lam2 * 0.99, rel=1e-12)
 
     def test_threshold_separates_working_rank(self):
         rng = np.random.default_rng(6)
@@ -51,10 +52,8 @@ class TestS1Selection:
             r = int(rng.integers(1, 7))
             if sigma[r - 1] - sigma[r] < 1e-3:
                 continue
-            sel = ts1_s1_select_lambda(sigma, r, mu=0.99, a=1.0)
-            keep = sel.regime is ThresholdRegime.SUPER_CRITICAL
-            g = threshold_spectrum(sigma, 1.0, sel.lambda_n * 0.99, sel.t_n,
-                                   keep_boundary=keep)
+            g = threshold_spectrum(
+                sigma, *ts1_s1_select_lambda(sigma, r, mu=0.99, a=1.0))
             assert np.count_nonzero(g) == r
 
     def test_index_error(self):
@@ -67,14 +66,15 @@ class TestS2Selection:
         sigma = np.array([4.0, 1.0, 0.5])
         sel = ts1_s2_select_params(sigma, r=1, mu=0.9)
         assert sel.lambda_mu == pytest.approx(2.0 / 3.0, rel=1e-15)
-        assert sel.a_n == pytest.approx(2.0, rel=1e-12)
-        assert sel.t_n == pytest.approx(1.0, abs=1e-15)
+        assert sel.a == pytest.approx(2.0, rel=1e-12)
+        assert sel.t == pytest.approx(1.0, abs=1e-15)
+        assert not sel.keep_boundary
 
     def test_floor_on_exact_rank(self):
         sigma = np.array([4.0, 1.0, 0.0])
         sel = ts1_s2_select_params(sigma, r=2, mu=0.9)
         assert sel.lambda_mu == LAMBDA_MU_FLOOR
-        assert sel.t_n > 0.0
+        assert sel.t > 0.0
 
     def test_critical_pairing_consistency(self):
         rng = np.random.default_rng(1)
@@ -82,10 +82,10 @@ class TestS2Selection:
             sigma = np.sort(rng.uniform(0.01, 8.0, size=6))[::-1]
             r = int(rng.integers(1, 5))
             sel = ts1_s2_select_params(sigma, r, mu=0.99)
-            p = make_threshold_params(sel.a_n, sel.lambda_mu)
+            p = make_threshold_params(sel.a, sel.lambda_mu)
             scale = max(p.t2, 1.0)
             assert abs(p.t2 - p.t3) <= 1e-10 * scale
-            assert p.t == pytest.approx(sel.t_n, rel=1e-10)
+            assert p.t == pytest.approx(sel.t, rel=1e-10)
 
     def test_index_error(self):
         with pytest.raises(IndexError):
@@ -277,6 +277,7 @@ class TestSolve:
         (None, {"algorithm": Algorithm.NUCLEAR, "lam": -1.0}),
         (None, {"algorithm": Algorithm.TS1_IT, "lam": 0.5, "a": 0.0}),
         (None, {"algorithm": Algorithm.TS1_S1, "a": -1.0}),
+        (None, {"tol": np.nan}),
     ])
     def test_invalid_input_rejected_at_the_boundary(self, bad_value, change):
         truth, masked = make_problem(20, 20, 2, 0.6, seed=1)
@@ -286,7 +287,7 @@ class TestSolve:
             masked = replace(masked, values=values)
         cfg = dict(algorithm=Algorithm.TS1_S2, rank=KnownRank(2))
         cfg.update(change)
-        with pytest.raises(ValueError, match="finite|lam must"):
+        with pytest.raises(ValueError, match="finite|lam must|tol must"):
             solve(masked, SolverConfig(**cfg))
 
     def test_config_validation(self):
