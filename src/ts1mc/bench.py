@@ -208,8 +208,9 @@ def _run_one(spec: ExperimentSpec, truth: GroundTruth, masked: MaskedMatrix,
         report = None
     wall = time.perf_counter() - t0
     d = masked.descriptors
+    m, n = masked.shape
     failed = ExperimentRecord(
-        suite=spec.suite.value, solver=solver_name, m=spec.m, n=spec.n, r=r,
+        suite=spec.suite.value, solver=solver_name, m=m, n=n, r=r,
         sr=d.sr, fr=d.fr, cov=cov, sigma_noise=noise, trial=trial,
         rel_err=math.inf, psnr=-math.inf, mse=math.inf, success=False,
         iterations=0, wall_time_seconds=wall, rank_estimated=None)

@@ -125,6 +125,10 @@ def _load_problem(prefix: str, rank: int | None):
     """
     truth_matrix = read_matrix_csv(f"{prefix}.truth.csv")
     observed = read_matrix_csv(f"{prefix}.observed.csv")
+    if truth_matrix.shape != observed.shape:
+        raise ValueError(f"shape mismatch: {prefix}.truth.csv is "
+                         f"{truth_matrix.shape}, {prefix}.observed.csv is "
+                         f"{observed.shape}")
     if rank is None:
         rank = int(np.linalg.matrix_rank(truth_matrix))
     rows, cols = np.nonzero(~np.isnan(observed))

@@ -5,11 +5,11 @@ values.  Its proximal operator factors through the SVD: threshold each
 singular value with the scalar operator and reassemble.  Partial traces and
 Ky Fan norms are provided because the trace inequality tr_k(X) <= ||X||_Fk
 is what makes the spectral reduction exact, and tests exercise it directly.
+``compute_svd`` returns LAPACK's economy factors ``(u, sigma, vt)`` as they
+come, so a thresholded reconstruction is ``(u * g) @ vt``.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import svd as _svd
@@ -17,7 +17,6 @@ from scipy.linalg import svd as _svd
 from .scalar import h_lambda, make_threshold_params, rho_a
 
 __all__ = [
-    "SvdFactors",
     "compute_svd",
     "singular_values",
     "numerical_rank",
@@ -33,23 +32,10 @@ __all__ = [
 RANK_FLOOR = 1e-12
 
 
-@dataclass(frozen=True)
-class SvdFactors:
-    """Economy SVD ``u @ diag(sigma) @ v.T`` with sigma nonincreasing."""
-
-    u: np.ndarray
-    sigma: np.ndarray
-    v: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.u * self.sigma) @ self.v.T
-
-
-def compute_svd(x: np.ndarray) -> SvdFactors:
-    """Economy SVD; LAPACK's gesdd returns sigma nonincreasing."""
-    u, sigma, vt = _svd(np.asarray(x, dtype=float), full_matrices=False,
-                        lapack_driver="gesdd")
-    return SvdFactors(u=u, sigma=sigma, v=vt.T)
+def compute_svd(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Economy SVD ``(u, sigma, vt)``; LAPACK's gesdd returns sigma nonincreasing."""
+    return _svd(np.asarray(x, dtype=float), full_matrices=False,
+                lapack_driver="gesdd")
 
 
 def singular_values(x: np.ndarray) -> np.ndarray:
@@ -57,9 +43,9 @@ def singular_values(x: np.ndarray) -> np.ndarray:
     return _svd(np.asarray(x, dtype=float), compute_uv=False)
 
 
-def numerical_rank(sigma: np.ndarray, floor: float = RANK_FLOOR) -> int:
-    """Number of singular values above the noise floor."""
-    return int(np.sum(np.asarray(sigma) > floor))
+def numerical_rank(sigma: np.ndarray) -> int:
+    """Number of singular values above ``RANK_FLOOR``."""
+    return int(np.sum(np.asarray(sigma) > RANK_FLOOR))
 
 
 def ts1_penalty(sigma, a: float) -> float:
@@ -79,7 +65,8 @@ def ts1_penalty(sigma, a: float) -> float:
 
 
 def threshold_spectrum(sigma, a, lambda_mu, t, keep_boundary=False):
-    """Apply the scalar thresholding map entrywise to a spectrum.
+    """The scalar prox of ``Threshold(a, lambda_mu, t, keep_boundary)`` on
+    a nonnegative spectrum; called as ``threshold_spectrum(sigma, *th)``.
 
     Values strictly above ``t`` map to ``h_lambda``; the rest map to zero.
     With ``keep_boundary`` values equal to ``t`` also map through
@@ -102,10 +89,9 @@ def ts1_prox_matrix(y: np.ndarray, a: float, lambda_mu: float) -> np.ndarray:
     scalar operator; the rank of the result is the number of singular
     values strictly above the active threshold.
     """
-    params = make_threshold_params(a, lambda_mu)
-    f = compute_svd(y)
-    g = threshold_spectrum(f.sigma, a, lambda_mu, params.t)
-    return (f.u * g) @ f.v.T
+    th = make_threshold_params(a, lambda_mu)
+    u, sigma, vt = compute_svd(y)
+    return (u * threshold_spectrum(sigma, *th)) @ vt
 
 
 def shrinkage_identity(m: int, n: int, k: int) -> np.ndarray:

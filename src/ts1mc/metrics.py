@@ -59,10 +59,9 @@ def psnr(x_opt: np.ndarray, m_truth: np.ndarray, peak: float = 1.0) -> float:
     return float(10.0 * math.log10(peak * peak / err))
 
 
-def evaluate(x_opt: np.ndarray, m_truth: np.ndarray,
-             peak: float = 1.0) -> RecoveryMetrics:
+def evaluate(x_opt: np.ndarray, m_truth: np.ndarray) -> RecoveryMetrics:
+    """All measures at once; PSNR at peak 1, the range of [0, 1] images."""
     rel = relative_error(x_opt, m_truth)
-    err = mse(x_opt, m_truth)
-    return RecoveryMetrics(rel_err=rel, mse=err,
-                           psnr=psnr(x_opt, m_truth, peak=peak),
+    return RecoveryMetrics(rel_err=rel, mse=mse(x_opt, m_truth),
+                           psnr=psnr(x_opt, m_truth),
                            success=rel < SUCCESS_REL_ERR)

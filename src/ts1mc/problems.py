@@ -155,10 +155,9 @@ def image_to_lowrank_truth(pixels: np.ndarray, target_rank: int) -> GroundTruth:
         raise ValueError(f"target rank {target_rank} out of range for {pixels.shape}")
     if not (pixels.min() >= 0.0 and pixels.max() <= 1.0):
         raise ValueError("pixel values must lie in [0, 1]")
-    f = compute_svd(pixels)
+    u, sigma, vt = compute_svd(pixels)
     k = target_rank
-    approx = (f.u[:, :k] * f.sigma[:k]) @ f.v[:, :k].T
-    return GroundTruth(matrix=approx, rank=k)
+    return GroundTruth(matrix=(u[:, :k] * sigma[:k]) @ vt[:k], rank=k)
 
 
 def synthetic_test_image(m: int = 128, n: int = 128) -> np.ndarray:

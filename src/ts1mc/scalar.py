@@ -14,19 +14,20 @@ trigonometric expression ``h_lambda`` above it.  Which of two candidate
 thresholds is active depends on whether ``lambda_mu`` is below or above
 the critical value a^2 / (2(a+1)); the prox is continuous in the first
 (sub-critical) regime and jumps in the second (super-critical) regime.
+
+``Threshold`` records one such map; the solvers' per-step selectors return
+the same record, and ``matrix.threshold_spectrum`` takes it unpacked.
 """
 
 from __future__ import annotations
 
-import enum
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
-    "ThresholdRegime",
-    "ScalarThresholdParams",
+    "Threshold",
     "rho_a",
     "critical_lambda_mu",
     "make_threshold_params",
@@ -39,28 +40,34 @@ __all__ = [
 ARCCOS_CLAMP_TOL = 1e-9
 
 
-class ThresholdRegime(enum.Enum):
-    SUB_CRITICAL = "sub-critical"
-    SUPER_CRITICAL = "super-critical"
+class Threshold(NamedTuple):
+    """Shape, penalty weight and active threshold of one TS1 prox.
 
-
-@dataclass(frozen=True)
-class ScalarThresholdParams:
-    """Shape parameter, penalty weight and the resulting active threshold.
-
-    ``t`` equals ``t2`` in the sub-critical regime (lambda_mu at or below
-    the critical value) and ``t3`` in the super-critical regime.  The
-    candidate values always satisfy t1 <= t3 <= t2, with equality exactly
-    at the critical lambda_mu.
+    Fields are in ``threshold_spectrum``'s argument order.  ``t1``, ``t2``
+    and ``t3`` are the candidate thresholds of (a, lambda_mu); they satisfy
+    t1 <= t3 <= t2, with equality exactly at the critical lambda_mu.  The
+    active ``t`` is t2 in the sub-critical regime and t3 in the
+    super-critical one.  With ``keep_boundary`` an input of magnitude
+    exactly ``t`` maps through ``h_lambda`` rather than to zero.
     """
 
     a: float
     lambda_mu: float
     t: float
-    regime: ThresholdRegime
-    t1: float
-    t2: float
-    t3: float
+    keep_boundary: bool = False
+
+    @property
+    def t1(self) -> float:
+        return (3.0 / 2.0 ** (2.0 / 3.0)
+                * (self.lambda_mu * self.a * (self.a + 1.0)) ** (1.0 / 3.0) - self.a)
+
+    @property
+    def t2(self) -> float:
+        return self.lambda_mu * (self.a + 1.0) / self.a
+
+    @property
+    def t3(self) -> float:
+        return math.sqrt(2.0 * self.lambda_mu * (self.a + 1.0)) - self.a / 2.0
 
 
 def rho_a(x, a):
@@ -92,27 +99,16 @@ def critical_lambda_mu(a: float) -> float:
     return a * a / (2.0 * (a + 1.0))
 
 
-def make_threshold_params(a: float, lambda_mu: float) -> ScalarThresholdParams:
-    """Select the active threshold for a given (a, lambda_mu) pair.
-
-    Returns all three candidate threshold values together with the active
-    one: t2 = lambda_mu (a+1)/a when lambda_mu <= a^2/(2(a+1)), else
-    t3 = sqrt(2 lambda_mu (a+1)) - a/2.
+def make_threshold_params(a: float, lambda_mu: float) -> Threshold:
+    """The TS1 prox of (a, lambda_mu): t = t2 = lambda_mu (a+1)/a when
+    lambda_mu <= a^2/(2(a+1)), else t = t3 = sqrt(2 lambda_mu (a+1)) - a/2.
     """
     if a <= 0:
         raise ValueError(f"shape parameter a must be positive, got {a}")
     if lambda_mu <= 0:
         raise ValueError(f"penalty weight lambda_mu must be positive, got {lambda_mu}")
-    t1 = 3.0 / 2.0 ** (2.0 / 3.0) * (lambda_mu * a * (a + 1.0)) ** (1.0 / 3.0) - a
-    t2 = lambda_mu * (a + 1.0) / a
-    t3 = math.sqrt(2.0 * lambda_mu * (a + 1.0)) - a / 2.0
-    if lambda_mu <= critical_lambda_mu(a):
-        regime, t = ThresholdRegime.SUB_CRITICAL, t2
-    else:
-        regime, t = ThresholdRegime.SUPER_CRITICAL, t3
-    return ScalarThresholdParams(
-        a=a, lambda_mu=lambda_mu, t=t, regime=regime, t1=t1, t2=t2, t3=t3
-    )
+    th = Threshold(a, lambda_mu, 0.0)
+    return th._replace(t=th.t2 if lambda_mu <= critical_lambda_mu(a) else th.t3)
 
 
 def h_lambda(x, a, lambda_mu):
@@ -143,20 +139,16 @@ def h_lambda(x, a, lambda_mu):
     return float(out) if out.ndim == 0 else out
 
 
-def ts1_prox_scalar(x, params: ScalarThresholdParams):
-    """Exact minimizer of (1/2)(y-x)^2 + lambda_mu rho_a(|y|).
+def ts1_prox_scalar(x, th: Threshold):
+    """Exact minimizer of (1/2)(y-x)^2 + lambda_mu rho_a(|y|), entrywise.
 
-    Zero for |x| <= t and h_lambda(x) for |x| > t.  At |x| = t in the
+    Zero for |x| < t and h_lambda(x) for |x| > t.  At |x| = t in the
     super-critical regime the minimizer is non-unique (0 and h_lambda(t)
-    tie); the zero branch is returned.
+    tie); ``th.keep_boundary`` picks h_lambda, otherwise zero is returned.
     """
     x = np.asarray(x, dtype=float)
-    if x.ndim == 0:
-        if abs(float(x)) <= params.t:
-            return 0.0
-        return float(h_lambda(float(x), params.a, params.lambda_mu))
-    above = np.abs(x) > params.t
+    keep = np.abs(x) >= th.t if th.keep_boundary else np.abs(x) > th.t
     out = np.zeros_like(x)
-    if np.any(above):
-        out[above] = h_lambda(x[above], params.a, params.lambda_mu)
-    return out
+    if np.any(keep):
+        out[keep] = h_lambda(x[keep], th.a, th.lambda_mu)
+    return float(out) if out.ndim == 0 else out

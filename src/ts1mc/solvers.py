@@ -17,11 +17,12 @@ differ in how the threshold parameters are chosen each iteration:
 The working rank is either supplied (known-rank mode) or maintained by a
 one-shot eigengap estimator that may lower an overestimate once.
 
-Every scheme runs one kernel, ``fixed_point_step``: gradient step, SVD, a
-per-scheme ``select(sigma) -> (g, Threshold)`` policy, reconstruction.  The
-``Threshold`` record carries the step's (a, lambda_mu, t, keep_boundary) in
-``threshold_spectrum``'s argument order and fills the iteration history.  A
-new spectral backend belongs behind ``compute_svd``.
+Every scheme runs one kernel, ``fixed_point_step``: gradient step, SVD
+``(u, sigma, vt)``, a per-scheme ``select(sigma) -> (g, Threshold)``
+policy, reconstruction ``(u * g) @ vt``.  ``scalar.Threshold`` carries the
+step's (a, lambda_mu, t, keep_boundary) in ``threshold_spectrum``'s
+argument order and fills the iteration history.  A new spectral backend
+belongs behind ``compute_svd``.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .matrix import compute_svd, singular_values, threshold_spectrum
 from .problems import MaskedMatrix
 from .sampling import (ObjectiveContext, SamplingOperator, check_penalty,
                        gradient_step)
-from .scalar import make_threshold_params
+from .scalar import Threshold, make_threshold_params
 
 __all__ = [
     "Algorithm",
@@ -45,7 +46,6 @@ __all__ = [
     "SolverConfig",
     "IterationRecord",
     "SolveReport",
-    "Threshold",
     "solve",
     "fixed_point_step",
     "ts1_it_step",
@@ -136,15 +136,6 @@ class SolveReport:
         return self.history[-1]
 
 
-class Threshold(NamedTuple):
-    """One step's thresholding parameters, in ``threshold_spectrum`` order."""
-
-    a: float
-    lambda_mu: float
-    t: float
-    keep_boundary: bool = False
-
-
 def ts1_s1_select_lambda(sigma_b, r: int, mu: float, a: float) -> Threshold:
     """Per-step penalty weight for the semi-adaptive scheme.
 
@@ -163,8 +154,7 @@ def ts1_s1_select_lambda(sigma_b, r: int, mu: float, a: float) -> Threshold:
     lam1 = a * s_r1 / (mu * (a + 1.0))
     if lam1 <= a * a / (2.0 * (a + 1.0) * mu):
         if lam1 * mu < LAMBDA_MU_FLOOR:
-            lam1 = LAMBDA_MU_FLOOR / mu
-            return Threshold(a, lam1 * mu, make_threshold_params(a, lam1 * mu).t)
+            return make_threshold_params(a, LAMBDA_MU_FLOOR / mu * mu)
         return Threshold(a, lam1 * mu, s_r1)
     s_r = float(sigma_b[r - 1])
     lam2 = (a + 2.0 * s_r) ** 2 / (8.0 * (a + 1.0) * mu)
@@ -230,14 +220,14 @@ def estimate_rank(x: np.ndarray, k: int, r_min: int = 1) -> tuple[int, bool, flo
 def fixed_point_step(x: np.ndarray, op: SamplingOperator, b: np.ndarray,
                      mu: float, select: Callable) -> tuple[np.ndarray, tuple]:
     """One step X <- G(B_mu(X)); ``select`` maps sigma to (g, Threshold)."""
-    f = compute_svd(gradient_step(x, op, b, mu))
-    g, th = select(f.sigma)
-    return (f.u * g) @ f.v.T, (g, th)
+    u, sigma, vt = compute_svd(gradient_step(x, op, b, mu))
+    g, th = select(sigma)
+    return (u * g) @ vt, (g, th)
 
 
 def _ts1_threshold(a: float, lambda_mu: float) -> Callable:
     """ts1-it's policy: the TS1 prox at fixed (a, lambda_mu)."""
-    th = Threshold(a, lambda_mu, make_threshold_params(a, lambda_mu).t)
+    th = make_threshold_params(a, lambda_mu)
     return lambda sigma: (threshold_spectrum(sigma, *th), th)
 
 

@@ -6,6 +6,8 @@ import pytest
 from ts1mc.bench import (CSV_COLUMNS, ExperimentRecord, ExperimentSpec, Suite,
                          aggregate_success, default_nuclear_lam, emit_csv,
                          load_config, read_csv, run_suite)
+from ts1mc.matrixio import write_pgm
+from ts1mc.problems import synthetic_test_image
 
 
 def tiny_spec(**kw):
@@ -97,6 +99,15 @@ class TestRunSuite:
         assert len(records) == 4
         by = {(rec.solver, rec.sigma_noise): rec for rec in records}
         assert by[("ts1-s2", 0.01)].psnr > by[("ts1-s2", 0.1)].psnr
+
+    def test_inpaint_rows_take_the_image_shape(self, tmp_path):
+        image = tmp_path / "wide.pgm"
+        write_pgm(image, synthetic_test_image(32, 40))
+        spec = ExperimentSpec(suite=Suite.INPAINT, image=str(image), ranks=(3,),
+                              trials=1, max_iters=5)
+        (rec,) = run_suite(spec)
+        assert (rec.m, rec.n) == (32, 40)
+        assert rec.fr == 3 * (32 + 40 - 3) / round(0.4 * 32 * 40)
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):

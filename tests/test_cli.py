@@ -97,6 +97,19 @@ class TestInvalidInput:
         assert cli_main(["solve", "--in", prefix, "--rank", "2"]) == 1
         assert "finite" in capsys.readouterr().err
 
+    def test_shape_mismatch_rejected_before_solving(self, tmp_path, capsys,
+                                                    monkeypatch):
+        prefix = str(tmp_path / "prob")
+        assert cli_main(["gen", "--m", "30", "--n", "30", "--rank", "2",
+                         "--out", prefix]) == 0
+        observed = read_matrix_csv(prefix + ".observed.csv")
+        write_matrix_csv(prefix + ".observed.csv", observed[:, :20])
+        monkeypatch.setattr("ts1mc.cli.solve",
+                            lambda *args: pytest.fail("solved mismatched files"))
+        assert cli_main(["solve", "--in", prefix]) == 1
+        err = capsys.readouterr().err
+        assert prefix + ".truth.csv" in err and prefix + ".observed.csv" in err
+
     def test_negative_lam(self, capsys):
         assert cli_main(["solve", "--m", "20", "--n", "20", "--rank", "2",
                          "--solver", "nuclear", "--lam", "-1"]) == 1

@@ -90,7 +90,7 @@ class TestEvaluate:
     def test_fields_consistent(self):
         rng = np.random.default_rng(4)
         x, m = rng.standard_normal((5, 5)), rng.standard_normal((5, 5))
-        met = evaluate(x, m, peak=1.0)
+        met = evaluate(x, m)
         assert met.mse == pytest.approx(mse(x, m), rel=1e-15)
         assert met.psnr == pytest.approx(10 * math.log10(1.0 / met.mse),
                                          rel=1e-12)

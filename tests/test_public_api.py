@@ -1,7 +1,8 @@
 """The package namespace and the benchmark's trace points.
 
 ``ts1mc/__init__.py`` re-exports each module's ``__all__``, so a name added
-there is public without a second list to keep in step.  The benchmark's
+there is public without a second list to keep in step; a module lists only
+the names it defines, so each public name has one owner.  The benchmark's
 tracer wraps functions by the module-level names their callers look up; a
 rename would silently drop its per-layer metrics, so every target must
 resolve.
@@ -27,6 +28,11 @@ def test_module_all_is_exported_by_the_package(module):
     missing = [name for name in mod.__all__
                if getattr(ts1mc, name, None) is not getattr(mod, name)]
     assert missing == []
+    # one owner per public name: a module lists only what it defines
+    borrowed = [name for name in mod.__all__
+                if callable(getattr(mod, name))
+                and getattr(mod, name).__module__ != mod.__name__]
+    assert borrowed == []
 
 
 def _tracing():

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import grid_prox_argmin, prox_objective
-from ts1mc.scalar import (ThresholdRegime, critical_lambda_mu, h_lambda,
-                          make_threshold_params, rho_a, ts1_prox_scalar)
+from ts1mc.scalar import (critical_lambda_mu, h_lambda, make_threshold_params,
+                          rho_a, ts1_prox_scalar)
 
 positive_a = st.floats(min_value=0.1, max_value=100.0)
 positive_lm = st.floats(min_value=0.01, max_value=2.0)
@@ -51,13 +51,11 @@ class TestThresholdParams:
 
     def test_subcritical(self):
         p = make_threshold_params(1.0, 0.1)
-        assert p.regime is ThresholdRegime.SUB_CRITICAL
         assert p.t == pytest.approx(0.2, abs=1e-15)
         assert p.t == p.t2
 
     def test_supercritical(self):
         p = make_threshold_params(1.0, 1.0)
-        assert p.regime is ThresholdRegime.SUPER_CRITICAL
         assert p.t == pytest.approx(1.5, abs=1e-15)
         assert p.t == p.t3
 

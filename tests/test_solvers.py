@@ -3,10 +3,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ts1mc.matrix import singular_values
+from ts1mc.matrix import singular_values, threshold_spectrum
 from ts1mc.problems import gen_gaussian_lowrank, sample_uniform
 from ts1mc.sampling import ObjectiveContext
-from ts1mc.scalar import make_threshold_params
+from ts1mc.scalar import make_threshold_params, ts1_prox_scalar
 from ts1mc.solvers import (LAMBDA_MU_FLOOR, Algorithm, KnownRank, RankEstimate,
                            SolverConfig, eigengap_from_sigma, estimate_rank,
                            nuclear_baseline_step, resolve_a, solve,
@@ -90,6 +90,28 @@ class TestS2Selection:
     def test_index_error(self):
         with pytest.raises(IndexError):
             ts1_s2_select_params(np.ones(2), r=2, mu=0.9)
+
+
+class TestThresholdRecord:
+    def test_kernel_map_matches_the_scalar_prox(self):
+        # Every record a policy can hand the kernel means the same map to
+        # threshold_spectrum (unpacked) and to the scalar prox.
+        rng = np.random.default_rng(5)
+        boundaries = set()
+        for trial in range(200):
+            sigma = np.sort(rng.uniform(0.0, 4.0, size=8))[::-1]
+            r = int(rng.integers(1, 6))
+            if trial % 5 == 0:
+                sigma[r:] = 0.0  # exact rank: the LAMBDA_MU_FLOOR branches
+            a = float(rng.choice([0.5, 1.0, 10.0]))
+            records = [make_threshold_params(a, rng.uniform(0.01, 2.0)),
+                       ts1_s1_select_lambda(sigma, r, 0.99, a),
+                       ts1_s2_select_params(sigma, r, 0.99)]
+            for th in records:
+                assert np.array_equal(threshold_spectrum(sigma, *th),
+                                      ts1_prox_scalar(sigma, th))
+            boundaries.add(records[1].keep_boundary)
+        assert boundaries == {False, True}
 
 
 class TestEstimateRank:
