@@ -174,20 +174,14 @@ def _combos(spec: ExperimentSpec) -> list[tuple[int, float, float]]:
     return list(itertools.product(spec.ranks, spec.covs, spec.noises))
 
 
-def _load_image(spec: ExperimentSpec) -> np.ndarray:
-    if spec.image in (None, "synthetic"):
-        return synthetic_test_image(spec.m, spec.n)
-    return read_pgm(spec.image)
-
-
-def build_problem(spec: ExperimentSpec, combo_idx: int, trial: int,
-                  image: np.ndarray | None = None
+def build_problem(spec: ExperimentSpec, combo_idx: int, trial: int
                   ) -> tuple[GroundTruth, MaskedMatrix]:
-    """Clean truth and observed problem of one cell (``image``: the spec's)."""
+    """Clean truth and observed problem of one cell."""
     r, cov, noise = _combos(spec)[combo_idx]
     if spec.suite is Suite.INPAINT:
-        truth = image_to_lowrank_truth(
-            _load_image(spec) if image is None else image, r)
+        image = (synthetic_test_image(spec.m, spec.n)
+                 if spec.image in (None, "synthetic") else read_pgm(spec.image))
+        truth = image_to_lowrank_truth(image, r)
     else:
         truth = gen_gaussian_lowrank(
             spec.m, spec.n, r, cov, _derive_seed(spec.seed, combo_idx, trial, 0))
@@ -230,10 +224,9 @@ def run_suite(spec: ExperimentSpec) -> list[ExperimentRecord]:
     wall-time column).
     """
     records: list[ExperimentRecord] = []
-    image = _load_image(spec) if spec.suite is Suite.INPAINT else None
     for combo_idx, (r, cov, noise) in enumerate(_combos(spec)):
         for trial in range(spec.trials):
-            truth, masked = build_problem(spec, combo_idx, trial, image)
+            truth, masked = build_problem(spec, combo_idx, trial)
             for name in spec.solvers:
                 records.append(_run_one(spec, truth, masked, trial,
                                         r, cov, noise, name))

@@ -129,6 +129,8 @@ def _load_problem(prefix: str, rank: int | None):
         raise ValueError(f"shape mismatch: {prefix}.truth.csv is "
                          f"{truth_matrix.shape}, {prefix}.observed.csv is "
                          f"{observed.shape}")
+    if not np.all(np.isfinite(truth_matrix)):
+        raise ValueError(f"{prefix}.truth.csv holds a non-finite value")
     if rank is None:
         rank = int(np.linalg.matrix_rank(truth_matrix))
     rows, cols = np.nonzero(~np.isnan(observed))

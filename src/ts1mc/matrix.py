@@ -19,7 +19,6 @@ from .scalar import h_lambda, make_threshold_params, rho_a
 __all__ = [
     "compute_svd",
     "singular_values",
-    "numerical_rank",
     "ts1_penalty",
     "threshold_spectrum",
     "ts1_prox_matrix",
@@ -27,10 +26,6 @@ __all__ = [
     "partial_trace",
     "ky_fan_norm",
 ]
-
-# Singular values below this are treated as zero when counting rank.
-RANK_FLOOR = 1e-12
-
 
 def compute_svd(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Economy SVD ``(u, sigma, vt)``; LAPACK's gesdd returns sigma nonincreasing."""
@@ -41,11 +36,6 @@ def compute_svd(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def singular_values(x: np.ndarray) -> np.ndarray:
     """Singular values of ``x`` in nonincreasing order (as gesdd returns them)."""
     return _svd(np.asarray(x, dtype=float), compute_uv=False)
-
-
-def numerical_rank(sigma: np.ndarray) -> int:
-    """Number of singular values above ``RANK_FLOOR``."""
-    return int(np.sum(np.asarray(sigma) > RANK_FLOOR))
 
 
 def ts1_penalty(sigma, a: float) -> float:

@@ -53,7 +53,10 @@ def psnr(x_opt: np.ndarray, m_truth: np.ndarray, peak: float = 1.0) -> float:
     """10 log10(peak^2 / mse), +inf for an exact reconstruction."""
     if peak <= 0:
         raise ValueError(f"peak must be positive, got {peak}")
-    err = mse(x_opt, m_truth)
+    return _psnr_from_mse(mse(x_opt, m_truth), peak)
+
+
+def _psnr_from_mse(err: float, peak: float) -> float:
     if err == 0.0:
         return math.inf
     return float(10.0 * math.log10(peak * peak / err))
@@ -62,6 +65,6 @@ def psnr(x_opt: np.ndarray, m_truth: np.ndarray, peak: float = 1.0) -> float:
 def evaluate(x_opt: np.ndarray, m_truth: np.ndarray) -> RecoveryMetrics:
     """All measures at once; PSNR at peak 1, the range of [0, 1] images."""
     rel = relative_error(x_opt, m_truth)
-    return RecoveryMetrics(rel_err=rel, mse=mse(x_opt, m_truth),
-                           psnr=psnr(x_opt, m_truth),
+    err = mse(x_opt, m_truth)
+    return RecoveryMetrics(rel_err=rel, mse=err, psnr=_psnr_from_mse(err, 1.0),
                            success=rel < SUCCESS_REL_ERR)

@@ -33,7 +33,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .matrix import compute_svd, singular_values, threshold_spectrum
+from .matrix import compute_svd, threshold_spectrum
 from .problems import MaskedMatrix
 from .sampling import (ObjectiveContext, SamplingOperator, check_penalty,
                        gradient_step)
@@ -49,10 +49,8 @@ __all__ = [
     "solve",
     "fixed_point_step",
     "ts1_it_step",
-    "nuclear_baseline_step",
     "ts1_s1_select_lambda",
     "ts1_s2_select_params",
-    "estimate_rank",
     "eigengap_from_sigma",
     "resolve_a",
 ]
@@ -110,6 +108,24 @@ class SolverConfig:
     tol: float = 1e-6
     max_iters: int = 5000
 
+    def __post_init__(self):
+        """Reject a setting no problem can use; ``solve`` checks the data
+        and the rank against the problem's shape."""
+        if not 0.0 < self.mu < 1.0:
+            raise ValueError(f"mu must lie in (0, 1), got {self.mu}")
+        if not self.tol > 0 or self.max_iters < 1:
+            raise ValueError("tol must be positive and max_iters at least 1")
+        check_penalty(self.lam, self.a)
+        if self.algorithm in (Algorithm.TS1_S1, Algorithm.TS1_S2):
+            if not isinstance(self.rank, (KnownRank, RankEstimate)):
+                raise ValueError(f"{self.algorithm.value} requires a rank input")
+            if (isinstance(self.rank, RankEstimate)
+                    and not 1 <= self.rank.r_min < self.rank.k):
+                raise ValueError("rank estimate needs 1 <= r_min < K, got "
+                                 f"r_min={self.rank.r_min} K={self.rank.k}")
+        elif self.lam is None:
+            raise ValueError(f"{self.algorithm.value} requires a fixed lam")
+
 
 class IterationRecord(NamedTuple):
     residual: float
@@ -126,7 +142,6 @@ class SolveReport:
     converged: bool
     final_residual: float
     history: list[IterationRecord]
-    algorithm: Algorithm
     rank_estimate: int | None = None
     rank_adjusted: bool = False
     tau: float = 0.0
@@ -212,11 +227,6 @@ def eigengap_from_sigma(sigma, k: int, r_min: int = 1) -> tuple[int, bool, float
     return k, False, tau
 
 
-def estimate_rank(x: np.ndarray, k: int, r_min: int = 1) -> tuple[int, bool, float]:
-    """Eigengap test on the eigenvalues of X^T X (see eigengap_from_sigma)."""
-    return eigengap_from_sigma(singular_values(x), k, r_min)
-
-
 def fixed_point_step(x: np.ndarray, op: SamplingOperator, b: np.ndarray,
                      mu: float, select: Callable) -> tuple[np.ndarray, tuple]:
     """One step X <- G(B_mu(X)); ``select`` maps sigma to (g, Threshold)."""
@@ -267,12 +277,6 @@ def ts1_it_step(x: np.ndarray, ctx: ObjectiveContext) -> np.ndarray:
                             _ts1_threshold(ctx.a, ctx.lam * ctx.mu))[0]
 
 
-def nuclear_baseline_step(x: np.ndarray, ctx: ObjectiveContext) -> np.ndarray:
-    """One baseline iteration: soft-threshold singular values by lam * mu."""
-    return fixed_point_step(x, ctx.op, ctx.b, ctx.mu,
-                            _soft_threshold(ctx.lam * ctx.mu))[0]
-
-
 def resolve_a(config: SolverConfig, problem: MaskedMatrix) -> float:
     """Shape parameter for ts1-s1/ts1-it, applying the policy when unset."""
     if config.a is not None:
@@ -286,27 +290,15 @@ def resolve_a(config: SolverConfig, problem: MaskedMatrix) -> float:
 
 
 def _validate(problem: MaskedMatrix, config: SolverConfig) -> None:
-    m, n = problem.shape
+    """The checks that need the problem; ``SolverConfig`` makes the rest."""
     if not np.all(np.isfinite(problem.values)):
         raise ValueError("observed values must be finite")
-    if not 0.0 < config.mu < 1.0:
-        raise ValueError(f"mu must lie in (0, 1), got {config.mu}")
-    if not config.tol > 0 or config.max_iters < 1:
-        raise ValueError("tol must be positive and max_iters at least 1")
-    check_penalty(config.lam, config.a)
-    alg = config.algorithm
-    if alg in (Algorithm.TS1_S1, Algorithm.TS1_S2):
-        if isinstance(config.rank, KnownRank):
-            if not 1 <= config.rank.r < min(m, n):
-                raise ValueError(f"known rank {config.rank.r} out of range")
-        elif isinstance(config.rank, RankEstimate):
-            if not 1 <= config.rank.r_min < config.rank.k <= min(m, n) - 1:
-                raise ValueError(
-                    f"rank estimate needs 1 <= r_min < K <= {min(m, n) - 1}")
-        else:
-            raise ValueError(f"{alg.value} requires a rank input")
-    if alg in (Algorithm.TS1_IT, Algorithm.NUCLEAR) and config.lam is None:
-        raise ValueError(f"{alg.value} requires a fixed lam")
+    top = min(problem.shape) - 1
+    if config.algorithm in (Algorithm.TS1_S1, Algorithm.TS1_S2):
+        if isinstance(config.rank, KnownRank) and not 1 <= config.rank.r <= top:
+            raise ValueError(f"known rank {config.rank.r} out of range")
+        if isinstance(config.rank, RankEstimate) and config.rank.k > top:
+            raise ValueError(f"rank estimate needs 1 <= r_min < K <= {top}")
 
 
 def solve(problem: MaskedMatrix, config: SolverConfig) -> SolveReport:
@@ -346,7 +338,7 @@ def solve(problem: MaskedMatrix, config: SolverConfig) -> SolveReport:
             break
 
     return SolveReport(x_opt=x, iterations=it, converged=converged,
-                       final_residual=residual, history=history, algorithm=alg,
+                       final_residual=residual, history=history,
                        rank_estimate=select.rank if adaptive else None,
                        rank_adjusted=adaptive and select.adjusted,
                        tau=select.tau if adaptive else 0.0)

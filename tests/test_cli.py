@@ -110,6 +110,19 @@ class TestInvalidInput:
         err = capsys.readouterr().err
         assert prefix + ".truth.csv" in err and prefix + ".observed.csv" in err
 
+    def test_nonfinite_truth_rejected_before_solving(self, tmp_path, capsys,
+                                                     monkeypatch):
+        prefix = str(tmp_path / "prob")
+        assert cli_main(["gen", "--m", "20", "--n", "20", "--rank", "2",
+                         "--out", prefix]) == 0
+        truth = read_matrix_csv(prefix + ".truth.csv")
+        truth[0, 0] = np.nan
+        write_matrix_csv(prefix + ".truth.csv", truth)
+        monkeypatch.setattr("ts1mc.cli.solve",
+                            lambda *args: pytest.fail("solved a NaN truth"))
+        assert cli_main(["solve", "--in", prefix, "--rank", "2"]) == 1
+        assert prefix + ".truth.csv" in capsys.readouterr().err
+
     def test_negative_lam(self, capsys):
         assert cli_main(["solve", "--m", "20", "--n", "20", "--rank", "2",
                          "--solver", "nuclear", "--lam", "-1"]) == 1
@@ -174,7 +187,12 @@ class TestBench:
     @pytest.mark.parametrize("text, named", [
         ("[solver]\nmax_iters = 10\n", "missing required key 'suite'"),
         ("[experiment]\nsuite = single\n[solver]\nmax_iter = 3\n",
-         "unknown config key 'max_iter'")], ids=["missing-suite", "unknown-key"])
+         "unknown config key 'max_iter'"),
+        ("[experiment]\nsuite = single\n[solver]\nmu = 1.5\n",
+         "mu must lie in (0, 1), got 1.5"),
+        ("[experiment]\nsuite = single\n[solver]\nmax_iters = 0\n",
+         "max_iters at least 1")],
+        ids=["missing-suite", "unknown-key", "mu-out-of-range", "max-iters-zero"])
     def test_invalid_config_exits_1(self, tmp_path, capsys, text, named):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(text)

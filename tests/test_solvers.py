@@ -8,9 +8,8 @@ from ts1mc.problems import gen_gaussian_lowrank, sample_uniform
 from ts1mc.sampling import ObjectiveContext
 from ts1mc.scalar import make_threshold_params, ts1_prox_scalar
 from ts1mc.solvers import (LAMBDA_MU_FLOOR, Algorithm, KnownRank, RankEstimate,
-                           SolverConfig, eigengap_from_sigma, estimate_rank,
-                           nuclear_baseline_step, resolve_a, solve,
-                           ts1_it_step, ts1_s1_select_lambda,
+                           SolverConfig, eigengap_from_sigma, resolve_a,
+                           solve, ts1_it_step, ts1_s1_select_lambda,
                            ts1_s2_select_params)
 
 
@@ -123,12 +122,14 @@ class TestEstimateRank:
         u = random_orthogonal(rng, 18)
         v = random_orthogonal(rng, 18)
         x = (u * sigma) @ v.T
-        new_k, adjusted, tau = estimate_rank(x, k=15, r_min=1)
+        new_k, adjusted, tau = eigengap_from_sigma(singular_values(x), k=15,
+                                                   r_min=1)
         assert adjusted and new_k == 10 and tau > 10.0
 
     def test_flat_spectrum_not_adjusted(self):
         x = np.eye(12) * 2.0
-        new_k, adjusted, tau = estimate_rank(x, k=8, r_min=1)
+        new_k, adjusted, tau = eigengap_from_sigma(singular_values(x), k=8,
+                                                   r_min=1)
         assert not adjusted and new_k == 8
         # all quotients equal 1, so tau = count / (count - 1), near 1
         assert tau == pytest.approx(8 / 7, rel=1e-12)
@@ -164,9 +165,7 @@ class TestSingleSteps:
         self.masked = masked
         self.x0 = masked.observed_fill()
 
-    @pytest.mark.parametrize("step, alg", [(ts1_it_step, Algorithm.TS1_IT),
-                                           (nuclear_baseline_step,
-                                            Algorithm.NUCLEAR)])
+    @pytest.mark.parametrize("step, alg", [(ts1_it_step, Algorithm.TS1_IT)])
     def test_steps_are_the_iterates_solve_returns(self, step, alg):
         # tol far below any residual reached in 25 steps: solve must not stop
         x = self.x0
@@ -206,17 +205,18 @@ class TestSingleSteps:
             assert cur <= prev + 1e-8
             prev = cur
 
+    def nuclear_step(self, lam):
+        """solve's first nuclear iterate; solve starts from ``self.x0``."""
+        return solve(self.masked, SolverConfig(algorithm=Algorithm.NUCLEAR,
+                                               lam=lam, mu=self.ctx.mu,
+                                               max_iters=1)).x_opt
+
     def test_nuclear_kills_everything_at_huge_lam(self):
-        ctx = ObjectiveContext(op=self.ctx.op, b=self.ctx.b, lam=1e6,
-                               mu=0.99, a=1.0)
-        out = nuclear_baseline_step(self.x0, ctx)
-        assert np.abs(out).max() <= 1e-8
+        assert np.abs(self.nuclear_step(1e6)).max() <= 1e-8
 
     def test_nuclear_with_zero_lam_is_gradient_step(self):
-        ctx = ObjectiveContext(op=self.ctx.op, b=self.ctx.b, lam=0.0,
-                               mu=0.99, a=1.0)
-        out = nuclear_baseline_step(self.x0, ctx)
-        assert np.allclose(out, ctx.b_mu_step(self.x0), atol=1e-10)
+        assert np.allclose(self.nuclear_step(0.0), self.ctx.b_mu_step(self.x0),
+                           atol=1e-10)
 
 
 class TestSolve:
