@@ -5,14 +5,19 @@ values.  Its proximal operator factors through the SVD: threshold each
 singular value with the scalar operator and reassemble.  Partial traces and
 Ky Fan norms are provided because the trace inequality tr_k(X) <= ||X||_Fk
 is what makes the spectral reduction exact, and tests exercise it directly.
-``compute_svd`` returns LAPACK's economy factors ``(u, sigma, vt)`` as they
-come, so a thresholded reconstruction is ``(u * g) @ vt``.
+``compute_svd`` returns economy factors ``(u, sigma, vt)`` with sigma
+nonincreasing, so a thresholded reconstruction is ``(u * g) @ vt``.  Asked
+for ``k`` triplets it returns only the top k, from PROPACK's Lanczos
+bidiagonalization (scipy's ``svds``) when k < min(m, n); the full SVD
+comes from LAPACK's gesdd, or from gesvd when gesdd fails to converge.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg import LinAlgError
 from scipy.linalg import svd as _svd
+from scipy.sparse.linalg import svds
 
 from .scalar import h_lambda, make_threshold_params, rho_a
 
@@ -27,10 +32,36 @@ __all__ = [
     "ky_fan_norm",
 ]
 
-def compute_svd(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Economy SVD ``(u, sigma, vt)``; LAPACK's gesdd returns sigma nonincreasing."""
-    return _svd(np.asarray(x, dtype=float), full_matrices=False,
-                lapack_driver="gesdd")
+# Seed of PROPACK's Lanczos start vector; a fixed start makes every
+# truncated SVD, and so every solve, repeat bit for bit.
+PROPACK_SEED = 0
+
+
+def compute_svd(x: np.ndarray, k: int | None = None
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """SVD ``(u, sigma, vt)`` with sigma nonincreasing: the top ``k``
+    triplets, or the economy SVD when ``k`` is unset or >= min(m, n).
+
+    PROPACK gives up when its Lanczos budget (10 k steps) runs out before
+    the k-th triplet converges, as on a flat noise tail; the top k then
+    come from the full SVD.  That is gesdd's, or when gesdd does not
+    converge, the slower but more robust gesvd's.
+    """
+    x = np.asarray(x, dtype=float)
+    if k is not None and k < min(x.shape):
+        try:
+            u, sigma, vt = svds(x, k, solver="propack",
+                                rng=np.random.default_rng(PROPACK_SEED))
+        except LinAlgError:
+            pass
+        else:
+            order = np.argsort(-sigma, kind="stable")
+            return u[:, order], sigma[order], vt[order]
+    try:
+        u, sigma, vt = _svd(x, full_matrices=False, lapack_driver="gesdd")
+    except LinAlgError:
+        u, sigma, vt = _svd(x, full_matrices=False, lapack_driver="gesvd")
+    return u[:, :k], sigma[:k], vt[:k]
 
 
 def singular_values(x: np.ndarray) -> np.ndarray:

@@ -19,7 +19,11 @@ one-shot eigengap estimator that may lower an overestimate once.
 
 Every scheme runs one kernel, ``fixed_point_step``: gradient step, SVD
 ``(u, sigma, vt)``, a per-scheme ``select(sigma) -> (g, Threshold)``
-policy, reconstruction ``(u * g) @ vt``.  ``scalar.Threshold`` carries the
+policy, reconstruction ``(u * g) @ vt``.  The kernel asks ``compute_svd``
+for the k triplets the policy reads: ts1-s1/ts1-s2 threshold at or above
+sigma_{rank+1}, so they need only the top rank + 1 (K + 1 while the
+eigengap test is pending); ts1-it and nuclear keep every sigma above a
+fixed level and take the full spectrum.  ``scalar.Threshold`` carries the
 step's (a, lambda_mu, t, keep_boundary) in ``threshold_spectrum``'s
 argument order and fills the iteration history.  A new spectral backend
 belongs behind ``compute_svd``.
@@ -69,6 +73,12 @@ TAU_THRESHOLD = 10.0
 # Shape parameter used once the rank estimate has been pinned down; the
 # known-rank-optimal choice.
 KNOWN_RANK_DEFAULT_A = 1.0
+
+# A keep-boundary threshold sits on a singular value, so a truncated
+# spectrum's last value within this fraction of sigma_1 below it may be a
+# tie that the full spectrum keeps.  The truncated and dense SVDs' singular
+# values agree to about 1e-15 sigma_1.
+TIE_RTOL = 1e-12
 
 
 class Algorithm(str, enum.Enum):
@@ -229,9 +239,27 @@ def eigengap_from_sigma(sigma, k: int, r_min: int = 1) -> tuple[int, bool, float
 
 def fixed_point_step(x: np.ndarray, op: SamplingOperator, b: np.ndarray,
                      mu: float, select: Callable) -> tuple[np.ndarray, tuple]:
-    """One step X <- G(B_mu(X)); ``select`` maps sigma to (g, Threshold)."""
-    u, sigma, vt = compute_svd(gradient_step(x, op, b, mu))
+    """One step X <- G(B_mu(X)); ``select`` maps sigma to (g, Threshold).
+
+    A policy that reads only the top of the spectrum names the number of
+    triplets it needs as ``select.triplets``, and the step reconstructs
+    from those alone.  That is exact unless the threshold keeps the last
+    of them: a singular value the truncated SVD never returned may tie with
+    it and be kept too, so the step is redone on the full spectrum.  Under
+    ``keep_boundary`` a last value within ``TIE_RTOL`` sigma_1 of the
+    threshold counts as kept, since rounding can split a tie.  On the redo
+    ``select`` sees what the dense path sees: an eigengap test it ran on
+    the truncated spectrum either adjusted the rank, and runs no more, or
+    changed nothing but tau, which it recomputes.
+    """
+    y = gradient_step(x, op, b, mu)
+    u, sigma, vt = compute_svd(y, getattr(select, "triplets", None))
     g, th = select(sigma)
+    if sigma.size < min(y.shape) and (
+            sigma[-1] >= th.t - TIE_RTOL * sigma[0] if th.keep_boundary
+            else g[-1] > 0):
+        u, sigma, vt = compute_svd(y)
+        g, th = select(sigma)
     return (u * g) @ vt, (g, th)
 
 
@@ -256,6 +284,11 @@ class _AdaptiveThreshold:
         self.estimating = isinstance(config.rank, RankEstimate)
         self.rank = config.rank.k if self.estimating else config.rank.r
         self.adjusted, self.tau = False, 0.0
+
+    @property
+    def triplets(self) -> int:
+        """Singular triplets the next call reads: sigma_1 .. sigma_{rank+1}."""
+        return self.rank + 1
 
     def __call__(self, sigma):
         cfg = self.config
@@ -305,9 +338,10 @@ def solve(problem: MaskedMatrix, config: SolverConfig) -> SolveReport:
     """Run the configured scheme from the observed-entry fill matrix.
 
     Stops when ||X_{n+1} - X_n||_F / max(||X_n||_F, 1) <= tol or after
-    ``max_iters`` iterations.  One SVD of the gradient-step matrix is
-    computed per iteration and shared by the parameter selection, the
-    eigengap estimator and the thresholding itself.
+    ``max_iters`` iterations.  One SVD of the gradient-step matrix (its
+    top rank + 1 triplets for ts1-s1/ts1-s2) is computed per iteration and
+    shared by the parameter selection, the eigengap estimator and the
+    thresholding itself.
     """
     _validate(problem, config)
     alg = config.algorithm

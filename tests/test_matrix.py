@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from scipy.linalg import LinAlgError, svd
 
 from conftest import random_orthogonal
+from ts1mc import matrix
 from ts1mc.matrix import (compute_svd, ky_fan_norm, partial_trace,
                           shrinkage_identity, singular_values,
                           threshold_spectrum, ts1_penalty, ts1_prox_matrix)
@@ -25,6 +27,62 @@ class TestSvdFactors:
             assert np.abs(vt @ vt.T - np.eye(k)).max() <= 1e-8
             rel = np.linalg.norm((u * sigma) @ vt - x) / max(np.linalg.norm(x), 1.0)
             assert rel <= 1e-8
+
+    def test_truncated_factors_are_the_top_of_the_dense_svd(self):
+        rng = np.random.default_rng(1)
+        for shape, k in [((40, 30), 4), ((30, 40), 1), ((25, 25), 24)]:
+            x = rng.standard_normal(shape)
+            u, sigma, vt = compute_svd(x, k)
+            full = singular_values(x)
+            assert u.shape == (shape[0], k) and vt.shape == (k, shape[1])
+            assert np.all(np.diff(sigma) <= 0)
+            assert np.abs(sigma - full[:k]).max() <= 1e-12 * full[0]
+            assert np.abs(u.T @ u - np.eye(k)).max() <= 1e-10
+            assert np.abs(vt @ vt.T - np.eye(k)).max() <= 1e-10
+            # Eckart-Young: the rank-k remainder carries the dense tail
+            assert np.linalg.norm(x - (u * sigma) @ vt) == pytest.approx(
+                np.linalg.norm(full[k:]), rel=1e-10)
+            again = compute_svd(x, k)
+            assert all(np.array_equal(p, q) for p, q in zip(again, (u, sigma, vt)))
+
+    def test_propack_failure_falls_back_to_the_dense_top_k(self, monkeypatch):
+        def no_convergence(*args, **kwargs):
+            raise LinAlgError("k=2 singular triplets did not converge")
+
+        x = np.random.default_rng(4).standard_normal((8, 6))
+        u, sigma, vt = compute_svd(x)
+        monkeypatch.setattr(matrix, "svds", no_convergence)
+        top_u, top_sigma, top_vt = compute_svd(x, 2)
+        assert np.array_equal(top_u, u[:, :2])
+        assert np.array_equal(top_sigma, sigma[:2])
+        assert np.array_equal(top_vt, vt[:2])
+
+    def test_k_at_full_rank_is_the_dense_svd(self):
+        x = np.random.default_rng(2).standard_normal((9, 6))
+        dense = compute_svd(x)
+        for k in (6, 7):
+            assert all(np.array_equal(p, q)
+                       for p, q in zip(compute_svd(x, k), dense))
+
+    def test_gesdd_failure_falls_back_to_gesvd(self, monkeypatch):
+        drivers = []
+
+        def gesdd_fails(x, full_matrices, lapack_driver):
+            drivers.append(lapack_driver)
+            if lapack_driver == "gesdd":
+                raise LinAlgError("SVD did not converge")
+            return svd(x, full_matrices=full_matrices,
+                       lapack_driver=lapack_driver)
+
+        monkeypatch.setattr(matrix, "_svd", gesdd_fails)
+        x = np.random.default_rng(3).standard_normal((7, 5))
+        u, sigma, vt = compute_svd(x)
+        assert drivers == ["gesdd", "gesvd"]
+        assert np.allclose((u * sigma) @ vt, x, atol=1e-12)
+        assert np.allclose(ts1_prox_matrix(x, 1.0, 0.1),
+                           (u * threshold_spectrum(
+                               sigma, *make_threshold_params(1.0, 0.1))) @ vt,
+                           atol=1e-12)
 
 
 class TestPenalty:

@@ -3,9 +3,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ts1mc.matrix import singular_values, threshold_spectrum
-from ts1mc.problems import gen_gaussian_lowrank, sample_uniform
-from ts1mc.sampling import ObjectiveContext
+from ts1mc import solvers
+from ts1mc.matrix import compute_svd, singular_values, threshold_spectrum
+from ts1mc.problems import MaskedMatrix, gen_gaussian_lowrank, sample_uniform
+from ts1mc.sampling import ObjectiveContext, SamplingOperator
 from ts1mc.scalar import make_threshold_params, ts1_prox_scalar
 from ts1mc.solvers import (LAMBDA_MU_FLOOR, Algorithm, KnownRank, RankEstimate,
                            SolverConfig, eigengap_from_sigma, resolve_a,
@@ -327,6 +328,83 @@ class TestSolve:
         with pytest.raises(ValueError):
             solve(masked, SolverConfig(algorithm=Algorithm.TS1_S1,
                                        rank=RankEstimate(k=19, r_min=19)))
+
+
+def dense_svd(x, k=None):
+    """``compute_svd`` as the dense path calls it: every triplet, whatever k."""
+    return compute_svd(x)
+
+
+class TestTruncatedSpectrum:
+    """ts1-s1/ts1-s2 reconstruct from the top rank + 1 triplets; the dense
+    path, which computes them all, is the reference."""
+
+    @pytest.mark.parametrize("algorithm", [Algorithm.TS1_S1, Algorithm.TS1_S2])
+    @pytest.mark.parametrize("rank", [KnownRank(3), RankEstimate(k=4)],
+                             ids=["known-rank", "rank-estimate"])
+    def test_matches_the_dense_path_on_fixed_seeds(self, monkeypatch,
+                                                   algorithm, rank):
+        cfg = SolverConfig(algorithm=algorithm, rank=rank, max_iters=300)
+        asked, spectrum_gaps, adjusted = [], [], []
+
+        def checked_svd(x, k=None):
+            u, sigma, vt = compute_svd(x, k)
+            full = singular_values(x)
+            asked.append(k)
+            spectrum_gaps.append(
+                np.abs(sigma - full[:sigma.size]).max() / full[0])
+            return u, sigma, vt
+
+        for seed in range(10):
+            truth, masked = make_problem(30, 30, 3, 0.6, seed=seed)
+            monkeypatch.setattr(solvers, "compute_svd", checked_svd)
+            fast = solve(masked, cfg)
+            monkeypatch.setattr(solvers, "compute_svd", dense_svd)
+            dense = solve(masked, cfg)
+            assert fast.iterations == dense.iterations
+            assert ([h.rank for h in fast.history]
+                    == [h.rank for h in dense.history])
+            assert fast.rank_estimate == dense.rank_estimate
+            assert fast.rank_adjusted == dense.rank_adjusted
+            # tau is a ratio of squared tail singular values, which carry
+            # the SVDs' absolute rounding error
+            assert fast.tau == pytest.approx(dense.tau, rel=1e-8)
+            top = fast.history[-1].rank + 1
+            s_fast = singular_values(fast.x_opt)[:top]
+            s_dense = singular_values(dense.x_opt)[:top]
+            assert np.abs(s_fast - s_dense).max() <= 1e-10 * s_dense[0]
+            adjusted.append(fast.rank_adjusted)
+        assert asked[0] == (rank.k if isinstance(rank, RankEstimate)
+                            else rank.r) + 1
+        assert max(spectrum_gaps) <= 1e-10
+        assert any(adjusted) == isinstance(rank, RankEstimate)
+        monkeypatch.undo()
+        assert np.array_equal(solve(masked, cfg).x_opt, fast.x_opt)
+
+    def test_tie_at_the_cut_takes_the_dense_step(self, monkeypatch):
+        # sigma = (3, 2, 2, 2, 1, 0, 0); ts1-s1 at r = 2 is super-critical
+        # (sigma_3 > a/2), so it keeps every sigma >= sigma_2 = 2, including
+        # two tied values beyond the three triplets it asks for
+        x = np.zeros((8, 7))
+        x[np.arange(5), np.arange(5)] = [3.0, 2.0, 2.0, 2.0, 1.0]
+        op = SamplingOperator.from_flat(x.shape, np.arange(x.size))
+        masked = MaskedMatrix(op=op, values=op.apply(x))
+        cfg = SolverConfig(algorithm=Algorithm.TS1_S1, rank=KnownRank(2),
+                           a=1.0, max_iters=1)
+        asked = []
+
+        def recorded_svd(y, k=None):
+            asked.append(k)
+            return compute_svd(y, k)
+
+        monkeypatch.setattr(solvers, "compute_svd", recorded_svd)
+        fast = solve(masked, cfg)
+        assert asked == [3, None]  # the truncated call, then the redo
+        assert fast.final_params.t == 2.0
+        monkeypatch.setattr(solvers, "compute_svd", dense_svd)
+        dense = solve(masked, cfg)
+        assert np.array_equal(fast.x_opt, dense.x_opt)
+        assert int(np.sum(singular_values(fast.x_opt) > 1e-12)) == 4
 
 
 class TestAPolicy:

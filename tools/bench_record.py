@@ -8,8 +8,11 @@ For each workload in BENCHMARK.json this runs the manifest's command
 (``python3 perfbench/run.py``) for ``run_seconds``, once untraced and once
 with ``--trace 1``, at seed 0.  It writes the ``env`` line (machine,
 versions, BLAS threads, source digest) and each run's final JSON line to
-``BENCH_<TAG>.json`` at the repository root.  It changes nothing under
-``perfbench/``; a run that exits non-zero stops the recording.
+``BENCH_<TAG>.json`` at the repository root.  ``src_clean`` records whether
+``src/`` and ``perfbench/`` match the commit that ``env.git_commit`` names;
+when it is false, only ``env.src_sha256`` identifies the measured source.
+It changes nothing under ``perfbench/``; a run that exits non-zero stops
+the recording.
 """
 
 import json
@@ -38,6 +41,14 @@ def run(command: list[str], workload: str, seconds: float,
     return env, json.loads(lines[-1])
 
 
+def src_clean() -> bool:
+    """True when git sees no change under src/ or perfbench/."""
+    status = subprocess.run(
+        ["git", "status", "--porcelain", "--", "src", "perfbench"],
+        cwd=ROOT, capture_output=True, text=True, check=True)
+    return status.stdout == ""
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1 or not re.fullmatch(r"[\w.-]+", argv[0]):
         print("usage: bench_record.py TAG  (letters, digits, '_', '.', '-')",
@@ -47,7 +58,7 @@ def main(argv: list[str]) -> int:
     seconds = manifest["run_seconds"]
     record = {"tag": argv[0], "command": manifest["command"],
               "run_seconds": seconds, "seed": SEED, "env": None,
-              "workloads": {}}
+              "src_clean": src_clean(), "workloads": {}}
     for workload in manifest["workloads"]:
         name = workload["name"]
         for trace, key in ((0, "untraced"), (1, "traced")):
