@@ -193,8 +193,7 @@ def build_problem(spec: ExperimentSpec, combo_idx: int, trial: int
 
 def _run_one(spec: ExperimentSpec, truth: GroundTruth, masked: MaskedMatrix,
              trial: int, r: int, cov: float, noise: float,
-             solver_name: str) -> ExperimentRecord:
-    cfg = solver_config(spec, solver_name, r, noise)
+             cfg: SolverConfig) -> ExperimentRecord:
     t0 = time.perf_counter()
     try:
         report = solve(masked, cfg)
@@ -204,7 +203,7 @@ def _run_one(spec: ExperimentSpec, truth: GroundTruth, masked: MaskedMatrix,
     d = masked.descriptors
     m, n = masked.shape
     failed = ExperimentRecord(
-        suite=spec.suite.value, solver=solver_name, m=m, n=n, r=r,
+        suite=spec.suite.value, solver=cfg.algorithm.value, m=m, n=n, r=r,
         sr=d.sr, fr=d.fr, cov=cov, sigma_noise=noise, trial=trial,
         rel_err=math.inf, psnr=-math.inf, mse=math.inf, success=False,
         iterations=0, wall_time_seconds=wall, rank_estimated=None)
@@ -219,17 +218,19 @@ def _run_one(spec: ExperimentSpec, truth: GroundTruth, masked: MaskedMatrix,
 def run_suite(spec: ExperimentSpec) -> list[ExperimentRecord]:
     """Run every (combo, trial, solver) cell of the suite.
 
-    Per-trial solver failures become rows with infinite error; they never
-    abort the suite.  Records are deterministic given the spec (modulo the
-    wall-time column).
+    A setting no problem can use aborts the suite before the first solve;
+    per-trial solver failures become rows with infinite error.  Records
+    are deterministic given the spec (modulo the wall-time column).
     """
+    configs = {(r, noise, name): solver_config(spec, name, r, noise)
+               for r, _, noise in _combos(spec) for name in spec.solvers}
     records: list[ExperimentRecord] = []
     for combo_idx, (r, cov, noise) in enumerate(_combos(spec)):
         for trial in range(spec.trials):
             truth, masked = build_problem(spec, combo_idx, trial)
             for name in spec.solvers:
-                records.append(_run_one(spec, truth, masked, trial,
-                                        r, cov, noise, name))
+                records.append(_run_one(spec, truth, masked, trial, r, cov,
+                                        noise, configs[r, noise, name]))
     return records
 
 

@@ -1,9 +1,9 @@
 """Dependency-free file formats: 8-bit PGM images and dense CSV matrices.
 
-PGM covers both the ASCII (P2) and binary (P5) encodings with maxval up
-to 255; images are exchanged as float matrices in [0, 1].  CSV matrices
-are row-major, comma separated, '.' decimal, no header; NaN entries are
-legal and mark unobserved values in masked-matrix files.
+PGM is read as ASCII (P2) or binary (P5) with maxval up to 255 and
+written as P5; images are exchanged as float matrices in [0, 1].  CSV
+matrices are row-major, comma separated, '.' decimal, no header; NaN
+entries are legal and mark unobserved values in masked-matrix files.
 """
 
 from __future__ import annotations
@@ -65,21 +65,16 @@ def read_pgm(path) -> np.ndarray:
     return raster.reshape(height, width).astype(float) / maxval
 
 
-def write_pgm(path, image: np.ndarray, binary: bool = True) -> None:
-    """Write a float matrix in [0, 1] as an 8-bit PGM (P5, or P2 if not binary)."""
+def write_pgm(path, image: np.ndarray) -> None:
+    """Write a float matrix in [0, 1] as an 8-bit binary PGM (P5)."""
     image = np.asarray(image, dtype=float)
     if image.ndim != 2:
         raise ValueError("expected a 2-D grayscale image")
     raster = np.clip(np.rint(image * 255.0), 0, 255).astype(np.uint8)
     height, width = raster.shape
     with open(path, "wb") as fh:
-        if binary:
-            fh.write(f"P5\n{width} {height}\n255\n".encode("ascii"))
-            fh.write(raster.tobytes())
-        else:
-            fh.write(f"P2\n{width} {height}\n255\n".encode("ascii"))
-            for row in raster:
-                fh.write((" ".join(str(int(v)) for v in row) + "\n").encode("ascii"))
+        fh.write(f"P5\n{width} {height}\n255\n".encode("ascii"))
+        fh.write(raster.tobytes())
 
 
 def read_matrix_csv(path) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Recovery quality measures: relative error, MSE and PSNR."""
+"""Recovery quality: relative error, MSE and evaluate's PSNR at peak 1."""
 
 from __future__ import annotations
 
@@ -12,7 +12,6 @@ __all__ = [
     "RecoveryMetrics",
     "relative_error",
     "mse",
-    "psnr",
     "evaluate",
 ]
 
@@ -49,22 +48,10 @@ def mse(x_opt: np.ndarray, m_truth: np.ndarray) -> float:
     return float(np.mean((x_opt - m_truth) ** 2))
 
 
-def psnr(x_opt: np.ndarray, m_truth: np.ndarray, peak: float = 1.0) -> float:
-    """10 log10(peak^2 / mse), +inf for an exact reconstruction."""
-    if peak <= 0:
-        raise ValueError(f"peak must be positive, got {peak}")
-    return _psnr_from_mse(mse(x_opt, m_truth), peak)
-
-
-def _psnr_from_mse(err: float, peak: float) -> float:
-    if err == 0.0:
-        return math.inf
-    return float(10.0 * math.log10(peak * peak / err))
-
-
 def evaluate(x_opt: np.ndarray, m_truth: np.ndarray) -> RecoveryMetrics:
-    """All measures at once; PSNR at peak 1, the range of [0, 1] images."""
+    """All measures at once; PSNR is 10 log10(1 / mse), +inf when exact."""
     rel = relative_error(x_opt, m_truth)
     err = mse(x_opt, m_truth)
-    return RecoveryMetrics(rel_err=rel, mse=err, psnr=_psnr_from_mse(err, 1.0),
+    psnr = math.inf if err == 0.0 else float(10.0 * math.log10(1.0 / err))
+    return RecoveryMetrics(rel_err=rel, mse=err, psnr=psnr,
                            success=rel < SUCCESS_REL_ERR)

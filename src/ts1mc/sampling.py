@@ -73,12 +73,6 @@ class SamplingOperator:
         out[self.rows, self.cols] = v
         return out
 
-    def mask(self) -> np.ndarray:
-        """Boolean matrix, True on observed entries."""
-        out = np.zeros(self.shape, dtype=bool)
-        out[self.rows, self.cols] = True
-        return out
-
 
 def gradient_step(z: np.ndarray, op: SamplingOperator, b: np.ndarray,
                   mu: float) -> np.ndarray:

@@ -104,10 +104,11 @@ class SolverConfig:
     """Algorithm choice and iteration parameters.
 
     ``a`` is consumed by ts1-it and ts1-s1 (ts1-s2 adapts it); ``lam`` by
-    ts1-it and nuclear.  Leaving ``a`` unset applies the empirical policy:
-    1 for known rank; for rank estimation 1000 when the freedom ratio is
-    below 0.6, otherwise 10.  In rank-estimation mode ts1-s1 switches to
-    the known-rank value a = 1 after the one permitted adjustment.
+    ts1-it (lam * mu > 0) and nuclear (lam >= 0).  Leaving ``a`` unset
+    applies the empirical policy: 1 for known rank; for rank estimation
+    1000 when the freedom ratio is below 0.6, otherwise 10.  In
+    rank-estimation mode ts1-s1 switches to the known-rank value a = 1
+    after the one permitted adjustment.
     """
 
     algorithm: Algorithm
@@ -135,6 +136,8 @@ class SolverConfig:
                                  f"r_min={self.rank.r_min} K={self.rank.k}")
         elif self.lam is None:
             raise ValueError(f"{self.algorithm.value} requires a fixed lam")
+        elif self.algorithm is Algorithm.TS1_IT and not self.lam * self.mu > 0:
+            raise ValueError(f"ts1-it requires lam * mu > 0, got lam={self.lam}")
 
 
 class IterationRecord(NamedTuple):
@@ -186,26 +189,24 @@ def ts1_s1_select_lambda(sigma_b, r: int, mu: float, a: float) -> Threshold:
     return Threshold(a, lam2 * mu, s_r, keep_boundary=True)
 
 
-def ts1_s2_select_params(sigma_b, r: int, mu: float) -> Threshold:
+def ts1_s2_select_params(sigma_b, r: int) -> Threshold:
     """Per-step penalty weight and shape for the fully adaptive scheme.
 
     The product lambda*mu is set to 2 sigma_{r+1}^2 / (1 + 2 sigma_{r+1})
     and ``a`` to the value making that weight exactly critical, so the two
-    candidate thresholds coincide at t = sigma_{r+1} (an exact identity;
-    the threshold is taken from the spectrum directly).
+    candidate thresholds coincide at t = sigma_{r+1} = a / 2 (an exact
+    identity; t is taken from the spectrum unless lambda*mu was floored).
     """
     sigma_b = np.asarray(sigma_b, dtype=float)
     if r + 1 > sigma_b.size:
         raise IndexError(f"need sigma_{r + 1}, have {sigma_b.size} singular values")
     s_r1 = float(sigma_b[r])
     lambda_mu = 2.0 * s_r1 * s_r1 / (1.0 + 2.0 * s_r1)
-    if lambda_mu < LAMBDA_MU_FLOOR:
+    floored = lambda_mu < LAMBDA_MU_FLOOR
+    if floored:
         lambda_mu = LAMBDA_MU_FLOOR
-        root = np.sqrt(lambda_mu * lambda_mu + 2.0 * lambda_mu)
-        return Threshold(lambda_mu + root, lambda_mu,
-                         lambda_mu / 2.0 + root / 2.0)
-    root = np.sqrt(lambda_mu * lambda_mu + 2.0 * lambda_mu)
-    return Threshold(lambda_mu + root, lambda_mu, s_r1)
+    a = lambda_mu + np.sqrt(lambda_mu * lambda_mu + 2.0 * lambda_mu)
+    return Threshold(a, lambda_mu, a / 2.0 if floored else s_r1)
 
 
 def eigengap_from_sigma(sigma, k: int, r_min: int = 1) -> tuple[int, bool, float]:
@@ -298,7 +299,7 @@ class _AdaptiveThreshold:
             if self.adjusted and cfg.a is None:
                 self.a = KNOWN_RANK_DEFAULT_A
         if cfg.algorithm is Algorithm.TS1_S2:
-            th = ts1_s2_select_params(sigma, self.rank, cfg.mu)
+            th = ts1_s2_select_params(sigma, self.rank)
         else:
             th = ts1_s1_select_lambda(sigma, self.rank, cfg.mu, self.a)
         return threshold_spectrum(sigma, *th), th

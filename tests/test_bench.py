@@ -91,6 +91,17 @@ class TestRunSuite:
         assert not records[0].success
         assert math.isinf(records[0].rel_err)
 
+    def test_unusable_cell_fails_before_any_solve(self, monkeypatch):
+        # rank 1 gives K = floor(1.5) = 1, which no rank estimate can use;
+        # the rank-3 cells come first but must not run
+        def no_solve(*args):
+            raise AssertionError("solve called before every cell was checked")
+        monkeypatch.setattr("ts1mc.bench.solve", no_solve)
+        spec = tiny_spec(suite=Suite.TABLE_RANK_ESTIMATE, m=40, n=40,
+                         ranks=(3, 1), trials=1, solvers=("ts1-s1", "ts1-s2"))
+        with pytest.raises(ValueError, match="rank estimate needs 1 <= r_min < K"):
+            run_suite(spec)
+
     def test_inpaint_suite(self):
         spec = tiny_spec(suite=Suite.INPAINT, m=48, n=48, ranks=(5,), sr=0.5,
                          noises=(0.01, 0.1), trials=1,

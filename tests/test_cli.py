@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ts1mc.bench import ExperimentSpec, Suite, read_csv
+from ts1mc.bench import CSV_COLUMNS, ExperimentSpec, Suite, read_csv
 from ts1mc.cli import _spec, build_parser, cli_main
 from ts1mc.matrixio import read_matrix_csv, read_pgm, write_matrix_csv, write_pgm
 from ts1mc.problems import synthetic_test_image
@@ -179,6 +179,22 @@ class TestBench:
         assert curve[0] == "r,fr,success_rate,trials"
         assert len(curve) == 3
 
+    def test_seed_flag_matches_config_seed(self, tmp_path):
+        text = ("[experiment]\nsuite = single\nm = 20\nn = 20\nranks = 2\n"
+                "sr = 0.6\ntrials = 2\nsolvers = ts1-s2\nseed = {}\n"
+                "[solver]\nmax_iters = 300\n")
+        rows = {}
+        for name, seed, flag in [("config", 9, []), ("flag", 0, ["--seed", "9"])]:
+            cfg = tmp_path / f"{name}.cfg"
+            cfg.write_text(text.format(seed))
+            out = tmp_path / f"{name}.csv"
+            assert cli_main(["bench", "--config", str(cfg), "--out", str(out),
+                             *flag]) == 0
+            wall = CSV_COLUMNS.index("wall_time_seconds")
+            rows[name] = [line.split(",")[:wall] + line.split(",")[wall + 1:]
+                          for line in out.read_text().splitlines()]
+        assert rows["flag"] == rows["config"]
+
     def test_missing_config_errors(self, capsys):
         assert cli_main(["bench", "--config", "/no/such.cfg",
                          "--out", "/tmp/x.csv"]) == 1
@@ -191,8 +207,12 @@ class TestBench:
         ("[experiment]\nsuite = single\n[solver]\nmu = 1.5\n",
          "mu must lie in (0, 1), got 1.5"),
         ("[experiment]\nsuite = single\n[solver]\nmax_iters = 0\n",
-         "max_iters at least 1")],
-        ids=["missing-suite", "unknown-key", "mu-out-of-range", "max-iters-zero"])
+         "max_iters at least 1"),
+        ("[experiment]\nsuite = single\nm = 20\nn = 20\nranks = 2\n"
+         "trials = 1\nsolvers = ts1-it\n[solver]\nlam = 0\n",
+         "ts1-it requires lam * mu > 0")],
+        ids=["missing-suite", "unknown-key", "mu-out-of-range", "max-iters-zero",
+             "ts1-it-lam-zero"])
     def test_invalid_config_exits_1(self, tmp_path, capsys, text, named):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(text)

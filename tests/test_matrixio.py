@@ -5,12 +5,22 @@ from ts1mc.matrixio import read_matrix_csv, read_pgm, write_matrix_csv, write_pg
 from ts1mc.problems import synthetic_test_image
 
 
+def write_p2(path, image):
+    """An ASCII (P2) PGM of ``image``, quantized as ``write_pgm`` does.
+
+    The package writes only P5; P2 files come from other programs."""
+    raster = np.clip(np.rint(np.asarray(image) * 255.0), 0, 255).astype(int)
+    lines = [f"P2\n{raster.shape[1]} {raster.shape[0]}\n255\n"]
+    lines += [" ".join(map(str, row)) + "\n" for row in raster]
+    path.write_bytes("".join(lines).encode("ascii"))
+
+
 class TestPgm:
     @pytest.mark.parametrize("binary", [True, False])
     def test_round_trip_quantized(self, tmp_path, binary):
         img = synthetic_test_image(17, 23)
         path = tmp_path / "img.pgm"
-        write_pgm(path, img, binary=binary)
+        (write_pgm if binary else write_p2)(path, img)
         back = read_pgm(path)
         assert back.shape == img.shape
         quantized = np.clip(np.rint(img * 255), 0, 255) / 255
@@ -18,8 +28,8 @@ class TestPgm:
 
     def test_p5_p2_agree(self, tmp_path):
         img = synthetic_test_image(9, 11)
-        write_pgm(tmp_path / "a.pgm", img, binary=True)
-        write_pgm(tmp_path / "b.pgm", img, binary=False)
+        write_pgm(tmp_path / "a.pgm", img)
+        write_p2(tmp_path / "b.pgm", img)
         assert np.array_equal(read_pgm(tmp_path / "a.pgm"),
                               read_pgm(tmp_path / "b.pgm"))
 

@@ -8,6 +8,7 @@ rename would silently drop its per-layer metrics, so every target must
 resolve.
 """
 
+import ast
 import importlib
 import importlib.util
 import sys
@@ -47,3 +48,30 @@ def test_every_trace_target_resolves():
     tracing = _tracing()
     absent = [w.target for w in tracing.WRAPS if tracing._resolve(w) is None]
     assert absent == []
+
+
+def _unread_parameters(path: Path) -> list[str]:
+    """``module.function(param)`` for each parameter its body never reads."""
+    unread = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda)):
+            continue
+        args = node.args
+        params = [a.arg for a in (*args.posonlyargs, *args.args,
+                                  *args.kwonlyargs, args.vararg, args.kwarg)
+                  if a is not None]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {n.id for stmt in body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        name = getattr(node, "name", "<lambda>")
+        unread += [f"{path.stem}.{name}({p})" for p in params if p not in read]
+    return unread
+
+
+def test_every_parameter_is_read():
+    # A parameter the body ignores is an option that sets nothing.
+    src = Path(ts1mc.__file__).resolve().parent
+    unread = [u for path in sorted(src.glob("*.py"))
+              for u in _unread_parameters(path)]
+    assert unread == []

@@ -64,7 +64,7 @@ class TestS1Selection:
 class TestS2Selection:
     def test_closed_form_example(self):
         sigma = np.array([4.0, 1.0, 0.5])
-        sel = ts1_s2_select_params(sigma, r=1, mu=0.9)
+        sel = ts1_s2_select_params(sigma, r=1)
         assert sel.lambda_mu == pytest.approx(2.0 / 3.0, rel=1e-15)
         assert sel.a == pytest.approx(2.0, rel=1e-12)
         assert sel.t == pytest.approx(1.0, abs=1e-15)
@@ -72,16 +72,19 @@ class TestS2Selection:
 
     def test_floor_on_exact_rank(self):
         sigma = np.array([4.0, 1.0, 0.0])
-        sel = ts1_s2_select_params(sigma, r=2, mu=0.9)
+        sel = ts1_s2_select_params(sigma, r=2)
         assert sel.lambda_mu == LAMBDA_MU_FLOOR
         assert sel.t > 0.0
+        # t = a / 2 is the critical threshold lambda_mu/2 + root/2, bit for bit
+        root = np.sqrt(LAMBDA_MU_FLOOR ** 2 + 2.0 * LAMBDA_MU_FLOOR)
+        assert sel.t == LAMBDA_MU_FLOOR / 2.0 + root / 2.0
 
     def test_critical_pairing_consistency(self):
         rng = np.random.default_rng(1)
         for _ in range(25):
             sigma = np.sort(rng.uniform(0.01, 8.0, size=6))[::-1]
             r = int(rng.integers(1, 5))
-            sel = ts1_s2_select_params(sigma, r, mu=0.99)
+            sel = ts1_s2_select_params(sigma, r)
             p = make_threshold_params(sel.a, sel.lambda_mu)
             scale = max(p.t2, 1.0)
             assert abs(p.t2 - p.t3) <= 1e-10 * scale
@@ -89,7 +92,7 @@ class TestS2Selection:
 
     def test_index_error(self):
         with pytest.raises(IndexError):
-            ts1_s2_select_params(np.ones(2), r=2, mu=0.9)
+            ts1_s2_select_params(np.ones(2), r=2)
 
 
 class TestThresholdRecord:
@@ -106,7 +109,7 @@ class TestThresholdRecord:
             a = float(rng.choice([0.5, 1.0, 10.0]))
             records = [make_threshold_params(a, rng.uniform(0.01, 2.0)),
                        ts1_s1_select_lambda(sigma, r, 0.99, a),
-                       ts1_s2_select_params(sigma, r, 0.99)]
+                       ts1_s2_select_params(sigma, r)]
             for th in records:
                 assert np.array_equal(threshold_spectrum(sigma, *th),
                                       ts1_prox_scalar(sigma, th))
@@ -322,6 +325,9 @@ class TestSolve:
                                        rank=KnownRank(20)))
         with pytest.raises(ValueError):
             solve(masked, SolverConfig(algorithm=Algorithm.TS1_IT, lam=None))
+        for lam, mu in [(0.0, 0.99), (5e-324, 0.5)]:  # the latter underflows
+            with pytest.raises(ValueError, match=r"ts1-it requires lam \* mu > 0"):
+                SolverConfig(algorithm=Algorithm.TS1_IT, lam=lam, mu=mu)
         with pytest.raises(ValueError):
             solve(masked, SolverConfig(algorithm=Algorithm.NUCLEAR, lam=0.1,
                                        mu=1.0))
