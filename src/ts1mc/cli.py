@@ -136,7 +136,7 @@ def _load_problem(prefix: str, rank: int | None):
     rows, cols = np.nonzero(~np.isnan(observed))
     op = SamplingOperator(shape=observed.shape, rows=rows, cols=cols)
     return rank, truth_matrix, MaskedMatrix(
-        op=op, values=observed[rows, cols],
+        op=op, values=op.apply(observed),
         descriptors=make_descriptors(*observed.shape, rank, op.p))
 
 

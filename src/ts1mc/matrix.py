@@ -8,8 +8,9 @@ is what makes the spectral reduction exact, and tests exercise it directly.
 ``compute_svd`` returns economy factors ``(u, sigma, vt)`` with sigma
 nonincreasing, so a thresholded reconstruction is ``(u * g) @ vt``.  Asked
 for ``k`` triplets it returns only the top k, from PROPACK's Lanczos
-bidiagonalization (scipy's ``svds``) when k < min(m, n); the full SVD
-comes from LAPACK's gesdd, or from gesvd when gesdd fails to converge.
+bidiagonalization (scipy's ``svds``) when k < min(m, n); each of its
+callbacks is one gemv, on the matrix or on its transpose view.  The full
+SVD comes from LAPACK's gesdd, or from gesvd when gesdd fails to converge.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg import LinAlgError
 from scipy.linalg import svd as _svd
-from scipy.sparse.linalg import svds
+from scipy.sparse.linalg import LinearOperator, svds
 
 from .scalar import h_lambda, make_threshold_params, rho_a
 
@@ -37,6 +38,27 @@ __all__ = [
 PROPACK_SEED = 0
 
 
+class _DenseOperator(LinearOperator):
+    """A dense matrix as PROPACK's Lanczos callbacks read it.
+
+    Each product is one gemv on ``a`` or on its ``.T.conj()`` view: the
+    arithmetic of scipy's ``MatrixLinearOperator``, without the chain of
+    generic shape and type checks it runs on every call.
+    """
+
+    def __init__(self, a: np.ndarray):
+        super().__init__(a.dtype, a.shape)
+        self._a, self._ah = a, a.T.conj()
+
+    def _matvec(self, x):
+        return self._a.dot(x.reshape(-1, 1)).reshape(-1)
+
+    def _rmatvec(self, x):
+        return self._ah.dot(x.reshape(-1, 1)).reshape(-1)
+
+    matvec, rmatvec = _matvec, _rmatvec
+
+
 def compute_svd(x: np.ndarray, k: int | None = None
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """SVD ``(u, sigma, vt)`` with sigma nonincreasing: the top ``k``
@@ -45,12 +67,14 @@ def compute_svd(x: np.ndarray, k: int | None = None
     PROPACK gives up when its Lanczos budget (10 k steps) runs out before
     the k-th triplet converges, as on a flat noise tail; the top k then
     come from the full SVD.  That is gesdd's, or when gesdd does not
-    converge, the slower but more robust gesvd's.
+    converge, the slower but more robust gesvd's.  Non-finite input raises
+    ``ValueError`` on either path.
     """
     x = np.asarray(x, dtype=float)
     if k is not None and k < min(x.shape):
+        op = _DenseOperator(np.asarray_chkfinite(x))
         try:
-            u, sigma, vt = svds(x, k, solver="propack",
+            u, sigma, vt = svds(op, k, solver="propack",
                                 rng=np.random.default_rng(PROPACK_SEED))
         except LinAlgError:
             pass

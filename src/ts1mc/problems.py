@@ -98,7 +98,7 @@ def sample_uniform(truth: GroundTruth, sr: float, seed: int = 0) -> MaskedMatrix
     rng = np.random.default_rng(seed)
     flat = np.sort(rng.choice(m * n, size=p, replace=False))
     op = SamplingOperator.from_flat((m, n), flat)
-    return MaskedMatrix(op=op, values=truth.matrix[op.rows, op.cols],
+    return MaskedMatrix(op=op, values=op.apply(truth.matrix),
                         descriptors=make_descriptors(m, n, truth.rank, p))
 
 

@@ -1,7 +1,9 @@
 """Entry-sampling measurement operator, gradient-step map and objectives.
 
 The measurement operator reads a fixed set of matrix entries; its adjoint
-scatters a vector back onto those entries.  Since each measurement reads
+scatters a vector back onto those entries.  Observed entries are addressed
+by one flat index ``rows * n + cols`` into the C-ordered matrix, so each
+gather and scatter indexes a 1-D view.  Since each measurement reads
 one distinct entry, the operator norm is exactly 1, so any step size
 mu in (0, 1) keeps the surrogate objective a majorizer of mu times the
 penalized objective.
@@ -9,7 +11,7 @@ penalized objective.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,11 +27,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SamplingOperator:
-    """Reads entries (rows[k], cols[k]) of an m x n matrix, in order."""
+    """Reads entries (rows[k], cols[k]) of an m x n matrix, in order.
+
+    ``flat`` holds the same entries as indices into the matrix's C-order
+    ravel; it is derived from ``rows`` and ``cols``.
+    """
 
     shape: tuple[int, int]
     rows: np.ndarray
     cols: np.ndarray
+    flat: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         rows = np.asarray(self.rows, dtype=np.intp)
@@ -46,6 +53,7 @@ class SamplingOperator:
         flat = rows * n + cols
         if np.unique(flat).size != flat.size:
             raise ValueError("duplicate observation indices")
+        object.__setattr__(self, "flat", flat)
 
     @classmethod
     def from_flat(cls, shape: tuple[int, int], flat_indices) -> "SamplingOperator":
@@ -62,7 +70,7 @@ class SamplingOperator:
         x = np.asarray(x)
         if x.shape != self.shape:
             raise ValueError(f"expected shape {self.shape}, got {x.shape}")
-        return x[self.rows, self.cols]
+        return x.reshape(-1)[self.flat]
 
     def adjoint(self, v: np.ndarray) -> np.ndarray:
         """Matrix with ``v`` scattered onto the observed entries."""
@@ -70,7 +78,7 @@ class SamplingOperator:
         if v.shape != (self.p,):
             raise ValueError(f"expected vector of length {self.p}, got {v.shape}")
         out = np.zeros(self.shape)
-        out[self.rows, self.cols] = v
+        out.reshape(-1)[self.flat] = v
         return out
 
 
@@ -81,8 +89,10 @@ def gradient_step(z: np.ndarray, op: SamplingOperator, b: np.ndarray,
     Unobserved entries pass through unchanged; an observed entry becomes
     (1 - mu) Z_ij + mu b_ij.
     """
-    out = np.array(z, dtype=float, copy=True)
-    out[op.rows, op.cols] += mu * (b - out[op.rows, op.cols])
+    out = np.array(z, dtype=float, order="C")
+    view = out.reshape(-1)
+    obs = view[op.flat]
+    view[op.flat] = obs + mu * (b - obs)
     return out
 
 

@@ -1,0 +1,84 @@
+import copy
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+_spec = importlib.util.spec_from_file_location(
+    "bench_compare", ROOT / "tools" / "bench_compare.py")
+bench_compare = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_compare)
+
+MANIFEST = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+WORKLOADS = [w["name"] for w in MANIFEST["workloads"]]
+
+
+def record(tag: str, **values) -> dict:
+    """A BENCH record with every end-to-end metric at 10 on every workload,
+    apart from ``values`` (metric name -> value on the first workload)."""
+    run = {"attempted": 4, "correct": True, "failed": 0,
+           "metrics": {m["name"]: {"unit": m["unit"], "value": 10.0}
+                       for m in MANIFEST["end_to_end"]}}
+    out = {"tag": tag, "workloads": {}}
+    for name in WORKLOADS:
+        out["workloads"][name] = {"untraced": copy.deepcopy(run)}
+    for metric, value in values.items():
+        out["workloads"][WORKLOADS[0]]["untraced"]["metrics"][metric]["value"] = value
+    return out
+
+
+def run_main(tmp_path, old: dict, new: dict, capsys) -> tuple[int, list[str]]:
+    paths = []
+    for rec in (old, new):
+        path = tmp_path / f"BENCH_{rec['tag']}.json"
+        path.write_text(json.dumps(rec), encoding="utf-8")
+        paths.append(str(path))
+    code = bench_compare.main(paths)
+    return code, capsys.readouterr().out.splitlines()
+
+
+def test_equal_records_list_every_metric_and_pass(tmp_path, capsys):
+    code, lines = run_main(tmp_path, record("a"), record("b"), capsys)
+    assert code == 0
+    assert lines[0] == "a -> b"
+    rows = lines[2:]
+    assert len(rows) == len(WORKLOADS) * len(MANIFEST["end_to_end"])
+    assert all(row.split()[4] == "1.000" for row in rows)
+    assert not any("REGRESSION" in row for row in rows)
+
+
+@pytest.mark.parametrize("metric, value, regressed", [
+    ("wall_s", 12.5, True),          # 1.25 x against a 0.24 bound
+    ("wall_s", 12.3, False),
+    ("wall_s", 5.0, False),          # faster is never a regression
+    ("psnr_db_median", 9.4, True),   # higher is better, 0.05 bound
+    ("psnr_db_median", 9.6, False),
+    ("iterations", 12.1, True),
+])
+def test_metric_worse_than_its_bound_is_marked(tmp_path, capsys, metric,
+                                               value, regressed):
+    code, lines = run_main(tmp_path, record("a"), record("b", **{metric: value}),
+                           capsys)
+    assert code == int(regressed)
+    marked = [row for row in lines if "REGRESSION" in row]
+    assert [row.split()[:2] for row in marked] == (
+        [[WORKLOADS[0], metric]] if regressed else [])
+
+
+def test_missing_metric_fails(tmp_path, capsys):
+    new = record("b")
+    del new["workloads"][WORKLOADS[1]]["untraced"]["metrics"]["setup_s"]
+    code, lines = run_main(tmp_path, record("a"), new, capsys)
+    assert code == 1
+    assert f"{WORKLOADS[1]:<18} {'setup_s':<15} MISSING" in lines
+
+
+def test_larger_failed_share_fails(tmp_path, capsys):
+    new = record("b")
+    new["workloads"][WORKLOADS[2]]["untraced"]["failed"] = 1
+    code, lines = run_main(tmp_path, record("a"), new, capsys)
+    assert code == 1
+    assert lines[-1].startswith(WORKLOADS[2])
+    assert "failed 0/4 -> 1/4  REGRESSION" in lines[-1]

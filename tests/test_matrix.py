@@ -1,6 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.linalg import LinAlgError, svd
+from scipy.sparse.linalg import svds
 
 from conftest import random_orthogonal
 from ts1mc import matrix
@@ -56,6 +59,35 @@ class TestSvdFactors:
         assert np.array_equal(top_u, u[:, :2])
         assert np.array_equal(top_sigma, sigma[:2])
         assert np.array_equal(top_vt, vt[:2])
+
+    @pytest.mark.parametrize("shape, rank, k, noise", [
+        ((100, 100), 5, 6, 0.0), ((100, 100), 15, 16, 0.0),
+        ((128, 128), 10, 11, 0.1), ((150, 60), 4, 5, 0.0),
+        ((60, 150), 4, 5, 0.0)])
+    def test_truncated_svd_is_propack_on_the_bare_array(self, shape, rank, k,
+                                                        noise):
+        # The operator handed to PROPACK must keep scipy's arithmetic for a
+        # dense array bit for bit, and must build and run without warnings.
+        rng = np.random.default_rng(k)
+        x = (rng.standard_normal((shape[0], rank))
+             @ rng.standard_normal((rank, shape[1]))
+             + noise * rng.standard_normal(shape))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = compute_svd(x, k)
+            u, sigma, vt = svds(x, k, solver="propack",
+                                rng=np.random.default_rng(matrix.PROPACK_SEED))
+        order = np.argsort(-sigma, kind="stable")
+        for p, q in zip(got, (u[:, order], sigma[order], vt[order])):
+            assert np.array_equal(p, q)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_is_rejected_on_both_paths(self, bad):
+        x = np.random.default_rng(0).standard_normal((30, 30))
+        x[3, 4] = bad
+        for k in (5, None):
+            with pytest.raises(ValueError, match="must not contain infs or NaNs"):
+                compute_svd(x, k)
 
     def test_k_at_full_rank_is_the_dense_svd(self):
         x = np.random.default_rng(2).standard_normal((9, 6))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ts1mc.matrix import singular_values, ts1_penalty, ts1_prox_matrix
-from ts1mc.sampling import ObjectiveContext, SamplingOperator
+from ts1mc.sampling import ObjectiveContext, SamplingOperator, gradient_step
 
 
 def make_op(shape, flat, m=None):
@@ -109,6 +109,51 @@ class TestBMuStep:
             ObjectiveContext(op=op22, b=np.zeros(2), lam=0.1, mu=0.0, a=1.0)
         with pytest.raises(ValueError):
             ObjectiveContext(op=op22, b=np.zeros(2), lam=0.1, mu=1.5, a=1.0)
+
+
+# Non-C-ordered arrays holding the same values as the C-ordered input.
+LAYOUTS = {
+    "fortran": np.asfortranarray,
+    "sliced": lambda z: np.repeat(np.repeat(z, 2, axis=0), 3, axis=1)[::2, ::3],
+    "reversed": lambda z: np.ascontiguousarray(z[::-1])[::-1],
+}
+
+
+class TestFlatIndexLayouts:
+    """Gathers and scatters go through a 1-D view of a C-ordered array; on
+    any other layout that view would be a copy and a scatter into it lost."""
+
+    @pytest.fixture
+    def problem(self):
+        rng = np.random.default_rng(7)
+        op = make_op((6, 9), rng.choice(54, size=25, replace=False))
+        return op, rng.standard_normal((6, 9)), rng.standard_normal(op.p)
+
+    def test_flat_index_is_derived(self, problem):
+        op = problem[0]
+        assert np.array_equal(op.flat,
+                              np.ravel_multi_index((op.rows, op.cols), op.shape))
+        with pytest.raises(TypeError):
+            SamplingOperator(shape=op.shape, rows=op.rows, cols=op.cols,
+                             flat=op.flat)
+
+    @pytest.mark.parametrize("layout", LAYOUTS.values(), ids=LAYOUTS.keys())
+    def test_non_c_layouts_match_the_2d_index(self, problem, layout):
+        op, z, b = problem
+        mu = 0.7
+        zl, bl = layout(z), np.repeat(b, 2)[::2]
+        assert not zl.flags.c_contiguous and not bl.flags.c_contiguous
+        expected = z.copy()
+        expected[op.rows, op.cols] += mu * (b - expected[op.rows, op.cols])
+        scattered = np.zeros(op.shape)
+        scattered[op.rows, op.cols] = b
+
+        assert np.array_equal(op.apply(zl), z[op.rows, op.cols])
+        assert np.array_equal(op.adjoint(bl), scattered)
+        assert np.array_equal(gradient_step(zl, op, bl, mu), expected)
+        ctx = ObjectiveContext(op=op, b=bl, lam=0.1, mu=mu, a=1.0)
+        assert np.array_equal(ctx.b_mu_step(zl), expected)
+        assert np.array_equal(zl, z)  # the caller's array is untouched
 
 
 class TestObjectives:
