@@ -109,7 +109,7 @@ def _cmd_gen(args) -> int:
     truth, masked = build_problem(spec, 0, 0)
     write_matrix_csv(f"{args.out}.truth.csv", truth.matrix)
     observed = np.full(masked.shape, math.nan)
-    observed[masked.op.rows, masked.op.cols] = masked.values
+    observed.reshape(-1)[masked.op.flat] = masked.values
     write_matrix_csv(f"{args.out}.observed.csv", observed)
     d = masked.descriptors
     print(f"wrote {args.out}.truth.csv and {args.out}.observed.csv "
@@ -133,8 +133,7 @@ def _load_problem(prefix: str, rank: int | None):
         raise ValueError(f"{prefix}.truth.csv holds a non-finite value")
     if rank is None:
         rank = int(np.linalg.matrix_rank(truth_matrix))
-    rows, cols = np.nonzero(~np.isnan(observed))
-    op = SamplingOperator(shape=observed.shape, rows=rows, cols=cols)
+    op = SamplingOperator(observed.shape, np.flatnonzero(~np.isnan(observed)))
     return rank, truth_matrix, MaskedMatrix(
         op=op, values=op.apply(observed),
         descriptors=make_descriptors(*observed.shape, rank, op.p))

@@ -4,9 +4,10 @@ Random low-rank matrices are built as M_L @ M_R.T where the rows of each
 factor are i.i.d. draws from N(0, Sigma) with the equicorrelation matrix
 Sigma = (1 - cov) I + cov * 11^T; cov = 0 reduces to i.i.d. standard
 normal entries.  Observation sets are sampled uniformly without
-replacement.  Difficulty is summarized by the sampling ratio SR = p/mn,
-the freedom ratio FR = r(m+n-r)/p and the largest recoverable rank r_m
-(the largest r with FR <= 1).
+replacement, as a sorted flat index into the C-ordered matrix that
+becomes the sampling operator.  Difficulty is summarized by the sampling
+ratio SR = p/mn, the freedom ratio FR = r(m+n-r)/p and the largest
+recoverable rank r_m (the largest r with FR <= 1).
 """
 
 from __future__ import annotations
@@ -97,7 +98,7 @@ def sample_uniform(truth: GroundTruth, sr: float, seed: int = 0) -> MaskedMatrix
     p = max(1, int(round(sr * m * n)))
     rng = np.random.default_rng(seed)
     flat = np.sort(rng.choice(m * n, size=p, replace=False))
-    op = SamplingOperator.from_flat((m, n), flat)
+    op = SamplingOperator((m, n), flat)
     return MaskedMatrix(op=op, values=op.apply(truth.matrix),
                         descriptors=make_descriptors(m, n, truth.rank, p))
 

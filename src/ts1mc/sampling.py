@@ -1,17 +1,19 @@
 """Entry-sampling measurement operator, gradient-step map and objectives.
 
 The measurement operator reads a fixed set of matrix entries; its adjoint
-scatters a vector back onto those entries.  Observed entries are addressed
-by one flat index ``rows * n + cols`` into the C-ordered matrix, so each
-gather and scatter indexes a 1-D view.  Since each measurement reads
-one distinct entry, the operator norm is exactly 1, so any step size
-mu in (0, 1) keeps the surrogate objective a majorizer of mu times the
+scatters a vector back onto those entries.  The observed set is stored
+once, as a flat index ``i * n + j`` into the C-ordered m x n matrix, so
+each gather and scatter indexes a 1-D view; ``np.unravel_index(flat,
+shape)`` recovers the 2-D index.  Since each measurement reads one
+distinct entry, the operator norm is exactly 1, so any step size mu in
+(0, 1) keeps the surrogate objective a majorizer of mu times the
 penalized objective.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,43 +29,32 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SamplingOperator:
-    """Reads entries (rows[k], cols[k]) of an m x n matrix, in order.
+    """Reads entries ``flat[k]`` of an m x n matrix's C-order ravel, in order.
 
-    ``flat`` holds the same entries as indices into the matrix's C-order
-    ravel; it is derived from ``rows`` and ``cols``.
+    ``flat`` must be 1-D and nonempty, lie in [0, m n) and hold no
+    duplicates.
     """
 
     shape: tuple[int, int]
-    rows: np.ndarray
-    cols: np.ndarray
-    flat: np.ndarray = field(init=False, repr=False, compare=False)
+    flat: np.ndarray
 
     def __post_init__(self):
-        rows = np.asarray(self.rows, dtype=np.intp)
-        cols = np.asarray(self.cols, dtype=np.intp)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
+        flat = np.asarray(self.flat, dtype=np.intp)
+        object.__setattr__(self, "flat", flat)
         m, n = self.shape
-        if rows.size == 0:
+        if flat.ndim != 1:
+            raise ValueError(f"flat index must be 1-D, got shape {flat.shape}")
+        if flat.size == 0:
             raise ValueError("sampling operator needs at least one observation")
-        if rows.size != cols.size:
-            raise ValueError("rows and cols must have equal length")
-        if rows.min() < 0 or rows.max() >= m or cols.min() < 0 or cols.max() >= n:
-            raise ValueError("observation indices out of bounds")
-        flat = rows * n + cols
+        if flat.min() < 0 or flat.max() >= m * n:
+            raise ValueError(f"observation indices out of bounds [0, {m * n})")
         if np.unique(flat).size != flat.size:
             raise ValueError("duplicate observation indices")
-        object.__setattr__(self, "flat", flat)
-
-    @classmethod
-    def from_flat(cls, shape: tuple[int, int], flat_indices) -> "SamplingOperator":
-        rows, cols = np.unravel_index(np.asarray(flat_indices, dtype=np.intp), shape)
-        return cls(shape=shape, rows=rows, cols=cols)
 
     @property
     def p(self) -> int:
         """Number of observed entries."""
-        return int(self.rows.size)
+        return int(self.flat.size)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Observed entries of ``x`` in operator order."""
@@ -97,9 +88,11 @@ def gradient_step(z: np.ndarray, op: SamplingOperator, b: np.ndarray,
 
 
 def check_penalty(lam: float | None, a: float | None) -> None:
-    """Require lam >= 0 and a > 0; None marks a value chosen later."""
-    if (lam is not None and not lam >= 0.0) or (a is not None and not a > 0.0):
-        raise ValueError(f"lam must be nonnegative and a positive, got {lam}, {a}")
+    """Require 0 <= lam < inf and 0 < a < inf; None means chosen later."""
+    if ((lam is not None and not 0.0 <= lam < math.inf)
+            or (a is not None and not 0.0 < a < math.inf)):
+        raise ValueError("lam must be nonnegative and a positive, both finite, "
+                         f"got lam={lam}, a={a}")
 
 
 @dataclass(frozen=True)

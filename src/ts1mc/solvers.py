@@ -150,14 +150,18 @@ class IterationRecord(NamedTuple):
 
 @dataclass(frozen=True)
 class SolveReport:
+    """A solve's result; ``history`` holds one record per iteration run."""
+
     x_opt: np.ndarray
-    iterations: int
     converged: bool
-    final_residual: float
     history: list[IterationRecord]
     rank_estimate: int | None = None
     rank_adjusted: bool = False
     tau: float = 0.0
+
+    @property
+    def iterations(self) -> int:
+        return len(self.history)
 
     @property
     def final_params(self) -> IterationRecord:
@@ -176,8 +180,8 @@ def ts1_s1_select_lambda(sigma_b, r: int, mu: float, a: float) -> Threshold:
     computed directly from the spectrum).
     """
     sigma_b = np.asarray(sigma_b, dtype=float)
-    if r + 1 > sigma_b.size:
-        raise IndexError(f"need sigma_{r + 1}, have {sigma_b.size} singular values")
+    if not 1 <= r < sigma_b.size:
+        raise IndexError(f"need 1 <= r < {sigma_b.size} singular values, got r={r}")
     s_r1 = float(sigma_b[r])
     lam1 = a * s_r1 / (mu * (a + 1.0))
     if lam1 <= a * a / (2.0 * (a + 1.0) * mu):
@@ -198,8 +202,8 @@ def ts1_s2_select_params(sigma_b, r: int) -> Threshold:
     identity; t is taken from the spectrum unless lambda*mu was floored).
     """
     sigma_b = np.asarray(sigma_b, dtype=float)
-    if r + 1 > sigma_b.size:
-        raise IndexError(f"need sigma_{r + 1}, have {sigma_b.size} singular values")
+    if not 1 <= r < sigma_b.size:
+        raise IndexError(f"need 1 <= r < {sigma_b.size} singular values, got r={r}")
     s_r1 = float(sigma_b[r])
     lambda_mu = 2.0 * s_r1 * s_r1 / (1.0 + 2.0 * s_r1)
     floored = lambda_mu < LAMBDA_MU_FLOOR
@@ -356,10 +360,8 @@ def solve(problem: MaskedMatrix, config: SolverConfig) -> SolveReport:
     x = problem.observed_fill()
 
     history: list[IterationRecord] = []
-    residual = np.inf
     converged = False
-    it = 0
-    for it in range(1, config.max_iters + 1):
+    for _ in range(config.max_iters):
         x_next, (g, th) = fixed_point_step(
             x, problem.op, problem.values, config.mu, select)
         residual = float(np.linalg.norm(x_next - x)
@@ -372,8 +374,7 @@ def solve(problem: MaskedMatrix, config: SolverConfig) -> SolveReport:
             converged = True
             break
 
-    return SolveReport(x_opt=x, iterations=it, converged=converged,
-                       final_residual=residual, history=history,
+    return SolveReport(x_opt=x, converged=converged, history=history,
                        rank_estimate=select.rank if adaptive else None,
                        rank_adjusted=adaptive and select.adjusted,
                        tau=select.tau if adaptive else 0.0)

@@ -128,6 +128,17 @@ class TestInvalidInput:
                          "--solver", "nuclear", "--lam", "-1"]) == 1
         assert "lam must be nonnegative" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [
+        ["--solver", "ts1-s1", "--a", "inf"],
+        ["--solver", "ts1-it", "--lam", "0.1", "--a", "inf"],
+        ["--solver", "nuclear", "--lam", "inf"],
+    ], ids=["ts1-s1-a", "ts1-it-a", "nuclear-lam"])
+    def test_non_finite_penalty_exits_1(self, capsys, flags):
+        assert cli_main(["solve", "--m", "20", "--n", "20", "--rank", "2",
+                         "--max-iters", "50", *flags]) == 1
+        out = capsys.readouterr()
+        assert "=inf" in out.err and out.out == ""
+
     @pytest.mark.parametrize("flag, message", [
         ("--tol", "tol must be positive"),
         ("--noise", "noise level must be finite")], ids=["tol", "noise"])

@@ -80,8 +80,7 @@ class TestSampleUniform:
         truth = gen_gaussian_lowrank(20, 20, 2, 0.0, seed=0)
         m1 = sample_uniform(truth, 0.3, seed=5)
         m2 = sample_uniform(truth, 0.3, seed=5)
-        assert np.array_equal(m1.op.rows, m2.op.rows)
-        assert np.array_equal(m1.op.cols, m2.op.cols)
+        assert np.array_equal(m1.op.flat, m2.op.flat)
         assert np.array_equal(m1.values, m2.values)
 
     def test_descriptor_identities(self):
@@ -96,7 +95,7 @@ class TestSampleUniform:
         counts = np.zeros(25)
         for i in range(10_000):
             masked = sample_uniform(truth, 0.2, seed=i)
-            counts[masked.op.rows * 5 + masked.op.cols] += 1
+            counts[masked.op.flat] += 1
         expected = counts.sum() / 25
         chi2 = float(np.sum((counts - expected) ** 2 / expected))
         assert chi2 < stats.chi2.ppf(0.999, df=24)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,14 +7,14 @@ from ts1mc.matrix import singular_values, ts1_penalty, ts1_prox_matrix
 from ts1mc.sampling import ObjectiveContext, SamplingOperator, gradient_step
 
 
-def make_op(shape, flat, m=None):
-    return SamplingOperator.from_flat(shape, np.asarray(flat))
-
-
 @pytest.fixture
 def op22():
-    return SamplingOperator(shape=(2, 2), rows=np.array([0, 1]),
-                            cols=np.array([0, 1]))
+    return SamplingOperator((2, 2), np.array([0, 3]))
+
+
+def rows_cols(op):
+    """The 2-D index of the observed entries, an independent reference."""
+    return np.unravel_index(op.flat, op.shape)
 
 
 class TestSamplingOperator:
@@ -24,7 +26,7 @@ class TestSamplingOperator:
 
     def test_projection_idempotence(self):
         rng = np.random.default_rng(0)
-        op = make_op((5, 7), rng.choice(35, size=12, replace=False))
+        op = SamplingOperator((5, 7), rng.choice(35, size=12, replace=False))
         x = rng.standard_normal((5, 7))
         once = op.apply(x)
         assert np.array_equal(op.apply(op.adjoint(once)), once)
@@ -36,18 +38,18 @@ class TestSamplingOperator:
 
     def test_adjoint_apply_masks(self):
         rng = np.random.default_rng(1)
-        op = make_op((4, 4), rng.choice(16, size=6, replace=False))
+        op = SamplingOperator((4, 4), rng.choice(16, size=6, replace=False))
         x = rng.standard_normal((4, 4))
         masked = op.adjoint(op.apply(x))
         mask = np.zeros(op.shape, dtype=bool)
-        mask[op.rows, op.cols] = True
+        mask[rows_cols(op)] = True
         assert np.allclose(masked[mask], x[mask])
         assert np.all(masked[~mask] == 0.0)
 
     def test_adjointness_identity(self):
         rng = np.random.default_rng(2)
         for _ in range(20):
-            op = make_op((6, 9), rng.choice(54, size=20, replace=False))
+            op = SamplingOperator((6, 9), rng.choice(54, size=20, replace=False))
             x = rng.standard_normal((6, 9))
             v = rng.standard_normal(op.p)
             lhs = float(np.dot(op.apply(x), v))
@@ -55,14 +57,12 @@ class TestSamplingOperator:
             assert lhs == pytest.approx(rhs, abs=1e-12 * max(1.0, abs(lhs)))
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            SamplingOperator(shape=(2, 2), rows=np.array([0, 0]),
-                             cols=np.array([1, 1]))  # duplicate
-        with pytest.raises(ValueError):
-            SamplingOperator(shape=(2, 2), rows=np.array([2]), cols=np.array([0]))
-        with pytest.raises(ValueError):
-            SamplingOperator(shape=(2, 2), rows=np.array([], dtype=int),
-                             cols=np.array([], dtype=int))
+        for flat in (np.array([1, 1]),               # duplicate
+                     np.array([4]), np.array([-1]),  # outside [0, m n)
+                     np.array([], dtype=int),        # empty
+                     np.array([[0, 1], [2, 3]])):    # not 1-D
+            with pytest.raises(ValueError):
+                SamplingOperator((2, 2), flat)
 
     def test_dimension_mismatch(self, op22):
         with pytest.raises(ValueError):
@@ -87,7 +87,7 @@ class TestBMuStep:
         assert np.allclose(ctx.b_mu_step(z), z)
 
     def test_half_step_arithmetic(self):
-        op = SamplingOperator(shape=(2, 2), rows=np.array([0]), cols=np.array([0]))
+        op = SamplingOperator((2, 2), np.array([0]))
         ctx = ObjectiveContext(op=op, b=np.array([4.0]), lam=0.1, mu=0.5, a=1.0)
         out = ctx.b_mu_step(np.zeros((2, 2)))
         assert out[0, 0] == 2.0
@@ -95,14 +95,19 @@ class TestBMuStep:
 
     def test_unobserved_pass_through(self):
         rng = np.random.default_rng(5)
-        op = make_op((5, 5), rng.choice(25, size=10, replace=False))
+        op = SamplingOperator((5, 5), rng.choice(25, size=10, replace=False))
         ctx = ObjectiveContext(op=op, b=rng.standard_normal(10), lam=0.2,
                                mu=0.9, a=1.0)
         z = rng.standard_normal((5, 5))
         out = ctx.b_mu_step(z)
         unobserved = np.ones(op.shape, dtype=bool)
-        unobserved[op.rows, op.cols] = False
+        unobserved[rows_cols(op)] = False
         assert np.array_equal(out[unobserved], z[unobserved])
+
+    @pytest.mark.parametrize("lam, a", [(np.inf, 1.0), (0.1, np.inf)])
+    def test_penalty_must_be_finite(self, op22, lam, a):
+        with pytest.raises(ValueError, match="=inf"):
+            ObjectiveContext(op=op22, b=np.zeros(2), lam=lam, mu=0.9, a=a)
 
     def test_mu_validation(self, op22):
         with pytest.raises(ValueError):
@@ -126,29 +131,32 @@ class TestFlatIndexLayouts:
     @pytest.fixture
     def problem(self):
         rng = np.random.default_rng(7)
-        op = make_op((6, 9), rng.choice(54, size=25, replace=False))
+        op = SamplingOperator((6, 9), rng.choice(54, size=25, replace=False))
         return op, rng.standard_normal((6, 9)), rng.standard_normal(op.p)
 
-    def test_flat_index_is_derived(self, problem):
+    def test_flat_index_is_the_only_index(self, problem):
         op = problem[0]
-        assert np.array_equal(op.flat,
-                              np.ravel_multi_index((op.rows, op.cols), op.shape))
+        assert [f.name for f in dataclasses.fields(op)] == ["shape", "flat"]
+        assert op.flat.dtype == np.intp and op.flat.ndim == 1
+        assert np.array_equal(np.ravel_multi_index(rows_cols(op), op.shape),
+                              op.flat)
         with pytest.raises(TypeError):
-            SamplingOperator(shape=op.shape, rows=op.rows, cols=op.cols,
-                             flat=op.flat)
+            SamplingOperator(shape=op.shape, rows=rows_cols(op)[0],
+                             cols=rows_cols(op)[1])
 
     @pytest.mark.parametrize("layout", LAYOUTS.values(), ids=LAYOUTS.keys())
     def test_non_c_layouts_match_the_2d_index(self, problem, layout):
         op, z, b = problem
         mu = 0.7
+        ij = rows_cols(op)
         zl, bl = layout(z), np.repeat(b, 2)[::2]
         assert not zl.flags.c_contiguous and not bl.flags.c_contiguous
         expected = z.copy()
-        expected[op.rows, op.cols] += mu * (b - expected[op.rows, op.cols])
+        expected[ij] += mu * (b - expected[ij])
         scattered = np.zeros(op.shape)
-        scattered[op.rows, op.cols] = b
+        scattered[ij] = b
 
-        assert np.array_equal(op.apply(zl), z[op.rows, op.cols])
+        assert np.array_equal(op.apply(zl), z[ij])
         assert np.array_equal(op.adjoint(bl), scattered)
         assert np.array_equal(gradient_step(zl, op, bl, mu), expected)
         ctx = ObjectiveContext(op=op, b=bl, lam=0.1, mu=mu, a=1.0)
@@ -164,25 +172,24 @@ class TestObjectives:
     def test_consistent_rank_one(self):
         x = np.zeros((3, 3))
         x[0, 0] = 1.0  # sigma = (1, 0, 0)
-        op = SamplingOperator(shape=(3, 3), rows=np.array([0, 1]),
-                              cols=np.array([0, 1]))
+        op = SamplingOperator((3, 3), np.array([0, 4]))
         ctx = ObjectiveContext(op=op, b=op.apply(x), lam=2.0, mu=0.9, a=1.0)
         assert ctx.c_lambda(x) == pytest.approx(2.0, abs=1e-12)
 
     def test_matches_independent_recomputation(self):
         rng = np.random.default_rng(8)
-        op = make_op((5, 6), rng.choice(30, size=14, replace=False))
+        op = SamplingOperator((5, 6), rng.choice(30, size=14, replace=False))
         ctx = ObjectiveContext(op=op, b=rng.standard_normal(14), lam=0.7,
                                mu=0.8, a=1.4)
         x = rng.standard_normal((5, 6))
-        resid = x[op.rows, op.cols] - ctx.b
+        resid = x[rows_cols(op)] - ctx.b
         expected = 0.5 * float(resid @ resid) \
             + 0.7 * ts1_penalty(singular_values(x), 1.4)
         assert ctx.c_lambda(x) == pytest.approx(expected, rel=1e-12)
 
     def test_surrogate_at_same_point(self):
         rng = np.random.default_rng(9)
-        op = make_op((4, 4), rng.choice(16, size=8, replace=False))
+        op = SamplingOperator((4, 4), rng.choice(16, size=8, replace=False))
         ctx = ObjectiveContext(op=op, b=rng.standard_normal(8), lam=0.5,
                                mu=0.6, a=1.0)
         x = rng.standard_normal((4, 4))
@@ -191,7 +198,7 @@ class TestObjectives:
 
     def test_surrogate_penalty_off(self):
         rng = np.random.default_rng(10)
-        op = make_op((4, 4), rng.choice(16, size=8, replace=False))
+        op = SamplingOperator((4, 4), rng.choice(16, size=8, replace=False))
         ctx = ObjectiveContext(op=op, b=rng.standard_normal(8), lam=0.0,
                                mu=0.3, a=1.0)
         x, z = rng.standard_normal((4, 4)), rng.standard_normal((4, 4))
@@ -203,7 +210,7 @@ class TestObjectives:
 
     def test_surrogate_dominates(self):
         rng = np.random.default_rng(11)
-        op = make_op((6, 6), rng.choice(36, size=15, replace=False))
+        op = SamplingOperator((6, 6), rng.choice(36, size=15, replace=False))
         for mu in (0.3, 0.8, 0.99):
             ctx = ObjectiveContext(op=op, b=rng.standard_normal(15), lam=0.4,
                                    mu=mu, a=1.0)
@@ -214,7 +221,7 @@ class TestObjectives:
 
     def test_prox_of_gradient_step_minimizes_surrogate(self):
         rng = np.random.default_rng(12)
-        op = make_op((5, 5), rng.choice(25, size=12, replace=False))
+        op = SamplingOperator((5, 5), rng.choice(25, size=12, replace=False))
         ctx = ObjectiveContext(op=op, b=rng.standard_normal(12), lam=0.6,
                                mu=0.9, a=1.0)
         z = rng.standard_normal((5, 5))

@@ -59,6 +59,10 @@ class TestS1Selection:
     def test_index_error(self):
         with pytest.raises(IndexError):
             ts1_s1_select_lambda(np.ones(3), r=3, mu=0.9, a=1.0)
+        # sigma_0 does not exist; the super-critical branch must not read
+        # sigma[-1] in its place
+        with pytest.raises(IndexError):
+            ts1_s1_select_lambda(np.array([5.0, 3.0, 0.5]), r=0, mu=0.99, a=1.0)
 
 
 class TestS2Selection:
@@ -93,6 +97,8 @@ class TestS2Selection:
     def test_index_error(self):
         with pytest.raises(IndexError):
             ts1_s2_select_params(np.ones(2), r=2)
+        with pytest.raises(IndexError):
+            ts1_s2_select_params(np.array([5.0, 3.0, 0.5]), r=0)
 
 
 class TestThresholdRecord:
@@ -270,8 +276,7 @@ class TestSolve:
                            tol=1e-6)
         rep = solve(masked, cfg)
         assert rep.converged
-        assert rep.final_residual <= cfg.tol
-        assert rep.history[-1].residual == rep.final_residual
+        assert rep.final_params.residual <= cfg.tol
 
     def test_fixed_point_certificate(self):
         from ts1mc.matrix import ts1_prox_matrix
@@ -315,6 +320,18 @@ class TestSolve:
         cfg.update(change)
         with pytest.raises(ValueError, match="finite|lam must|tol must"):
             solve(masked, SolverConfig(**cfg))
+
+    @pytest.mark.parametrize("change", [
+        {"algorithm": Algorithm.TS1_S1, "rank": KnownRank(2), "a": np.inf},
+        {"algorithm": Algorithm.TS1_IT, "lam": 0.1, "a": np.inf},
+        {"algorithm": Algorithm.TS1_IT, "lam": np.inf, "a": 1.0},
+        {"algorithm": Algorithm.NUCLEAR, "lam": np.inf},
+    ], ids=["ts1-s1-a", "ts1-it-a", "ts1-it-lam", "nuclear-lam"])
+    def test_non_finite_penalty_rejected_when_built(self, change):
+        # the paper takes a in (0, inf); an infinite lam or a gives a NaN
+        # threshold that cuts every singular value
+        with pytest.raises(ValueError, match="=inf"):
+            SolverConfig(**change)
 
     def test_config_validation(self):
         truth, masked = make_problem(20, 20, 2, 0.6, seed=1)
@@ -393,7 +410,7 @@ class TestTruncatedSpectrum:
         # two tied values beyond the three triplets it asks for
         x = np.zeros((8, 7))
         x[np.arange(5), np.arange(5)] = [3.0, 2.0, 2.0, 2.0, 1.0]
-        op = SamplingOperator.from_flat(x.shape, np.arange(x.size))
+        op = SamplingOperator(x.shape, np.arange(x.size))
         masked = MaskedMatrix(op=op, values=op.apply(x))
         cfg = SolverConfig(algorithm=Algorithm.TS1_S1, rank=KnownRank(2),
                            a=1.0, max_iters=1)
