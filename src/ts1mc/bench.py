@@ -159,7 +159,9 @@ def solver_config(spec: ExperimentSpec, name: str, r: int,
     estimating = (spec.rank_estimate is not None
                   or spec.suite is Suite.TABLE_RANK_ESTIMATE)
     if estimating and alg in (Algorithm.TS1_S1, Algorithm.TS1_S2):
-        k = spec.rank_estimate if spec.rank_estimate is not None else int(1.5 * r)
+        # K = floor(1.5 r), and at least r + 1 so that r = 1 has a gap to test
+        k = (spec.rank_estimate if spec.rank_estimate is not None
+             else max(int(1.5 * r), r + 1))
         rank = RankEstimate(k=k, r_min=spec.r_min)
     else:
         rank = KnownRank(r=r)

@@ -8,17 +8,20 @@ is what makes the spectral reduction exact, and tests exercise it directly.
 ``compute_svd`` returns economy factors ``(u, sigma, vt)`` with sigma
 nonincreasing, so a thresholded reconstruction is ``(u * g) @ vt``.  Asked
 for ``k`` triplets it returns only the top k, from PROPACK's Lanczos
-bidiagonalization (scipy's ``svds``) when k < min(m, n); each of its
-callbacks is one gemv, on the matrix or on its transpose view.  The full
-SVD comes from LAPACK's gesdd, or from gesvd when gesdd fails to converge.
+bidiagonalization when k < min(m, n): one call of its ``dlansvd``, with the
+arguments scipy's ``svds(x, k, solver="propack")`` passes it, whose every
+callback is one gemv into PROPACK's own buffer.  The full SVD comes from
+LAPACK's gesdd, or from gesvd when gesdd fails to converge.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 from scipy.linalg import LinAlgError
 from scipy.linalg import svd as _svd
-from scipy.sparse.linalg import LinearOperator, svds
+from scipy.sparse.linalg._propack import dlansvd as _dlansvd
 
 from .scalar import h_lambda, make_threshold_params, rho_a
 
@@ -38,25 +41,61 @@ __all__ = [
 PROPACK_SEED = 0
 
 
-class _DenseOperator(LinearOperator):
-    """A dense matrix as PROPACK's Lanczos callbacks read it.
+# PROPACK's options as scipy's ``svds`` sets them: the orthogonality level
+# sqrt(eps), the purge cutoff eps^0.75 and ||A|| = 0 ("estimate it").  Its
+# block size for the LAPACK calls it makes is 32.
+_EPS = np.finfo(float).eps
+_DOPTION = (np.sqrt(_EPS), _EPS ** 0.75, 0.0)
+_NB = 32
 
-    Each product is one gemv on ``a`` or on its ``.T.conj()`` view: the
-    arithmetic of scipy's ``MatrixLinearOperator``, without the chain of
-    generic shape and type checks it runs on every call.
+
+@lru_cache(maxsize=16)
+def _propack_start(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lanczos start vector and the seed of PROPACK's own generator for an
+    m-row matrix, drawn from ``default_rng(PROPACK_SEED)`` as ``svds``
+    draws them.  Read-only: PROPACK gets copies."""
+    rng = np.random.default_rng(PROPACK_SEED)
+    start = rng.uniform(size=m)
+    state = rng.integers(low=0, high=np.iinfo(np.int64).max, size=4,
+                         dtype=np.uint64)
+    start.flags.writeable = state.flags.writeable = False
+    return start, state
+
+
+def _lansvd(x: np.ndarray, k: int
+            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Top ``k`` triplets of a finite ``x`` from PROPACK's ``dlansvd``, in
+    the order it returns them; ``LinAlgError`` when they do not converge
+    within its budget of ``min(m + 1, n + 1, 10 k)`` Lanczos steps.
+
+    Every array it writes is fresh: it overwrites its state and its ||A||
+    estimate in ``doption``, so a reused one would change the next call.
     """
+    m, n = x.shape
+    kmax = min(m + 1, n + 1, 10 * k)
+    lwork = (m + n + 5 * kmax**2 + 9 * kmax + 4
+             + max(3 * kmax**2 + 4 * kmax + 4, _NB * max(m, n)))
+    start, state = _propack_start(m)
+    u = np.zeros((m, kmax + 1), order="F")
+    u[:, 0] = start
+    v = np.zeros((n, kmax), order="F")
+    sigma, bounds = np.zeros(k), np.zeros(k)
+    xt = x.T
 
-    def __init__(self, a: np.ndarray):
-        super().__init__(a.dtype, a.shape)
-        self._a, self._ah = a, a.T.conj()
+    def aprod(*args):
+        # (transa, m, n, z, y): y <- x z, or x^T z when transa is set
+        transa, _, _, z, y = args
+        np.dot(xt if transa else x, z, out=y)
 
-    def _matvec(self, x):
-        return self._a.dot(x.reshape(-1, 1)).reshape(-1)
-
-    def _rmatvec(self, x):
-        return self._ah.dot(x.reshape(-1, 1)).reshape(-1)
-
-    matvec, rmatvec = _matvec, _rmatvec
+    info = _dlansvd(1, 1, m, n, k, kmax, 0.0, aprod, u, sigma, bounds, v,
+                    np.empty(lwork), np.empty(8 * kmax, dtype=np.int32),
+                    np.array(_DOPTION), np.array((0, 1), dtype=np.int32),
+                    np.empty(1), np.empty(1, dtype=np.int32), state.copy())
+    if info != 0:
+        # > 0: an invariant subspace of that dimension; < 0: budget spent
+        raise LinAlgError(f"PROPACK found no {k} singular triplets "
+                          f"(info={info})")
+    return u[:, :k], sigma, v[:, :k].T
 
 
 def compute_svd(x: np.ndarray, k: int | None = None
@@ -72,14 +111,13 @@ def compute_svd(x: np.ndarray, k: int | None = None
     """
     x = np.asarray(x, dtype=float)
     if k is not None and k < min(x.shape):
-        op = _DenseOperator(np.asarray_chkfinite(x))
         try:
-            u, sigma, vt = svds(op, k, solver="propack",
-                                rng=np.random.default_rng(PROPACK_SEED))
+            u, sigma, vt = _lansvd(np.asarray_chkfinite(x), k)
         except LinAlgError:
             pass
         else:
-            order = np.argsort(-sigma, kind="stable")
+            # nonincreasing, ties in reverse order: as ``svds`` hands them on
+            order = np.argsort(sigma, kind="stable")[::-1]
             return u[:, order], sigma[order], vt[order]
     try:
         u, sigma, vt = _svd(x, full_matrices=False, lapack_driver="gesdd")

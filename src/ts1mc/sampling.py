@@ -31,21 +31,25 @@ __all__ = [
 class SamplingOperator:
     """Reads entries ``flat[k]`` of an m x n matrix's C-order ravel, in order.
 
-    ``flat`` must be 1-D and nonempty, lie in [0, m n) and hold no
-    duplicates.
+    ``flat`` must be 1-D, nonempty and of an integer dtype, lie in [0, m n)
+    and hold no duplicates.  The operator keeps a read-only copy of it.
     """
 
     shape: tuple[int, int]
     flat: np.ndarray
 
     def __post_init__(self):
-        flat = np.asarray(self.flat, dtype=np.intp)
-        object.__setattr__(self, "flat", flat)
+        flat = np.asarray(self.flat)
         m, n = self.shape
         if flat.ndim != 1:
             raise ValueError(f"flat index must be 1-D, got shape {flat.shape}")
         if flat.size == 0:
             raise ValueError("sampling operator needs at least one observation")
+        if not np.issubdtype(flat.dtype, np.integer):
+            raise ValueError(f"flat index must hold integers, got {flat.dtype}")
+        flat = flat.astype(np.intp)
+        flat.flags.writeable = False
+        object.__setattr__(self, "flat", flat)
         if flat.min() < 0 or flat.max() >= m * n:
             raise ValueError(f"observation indices out of bounds [0, {m * n})")
         if np.unique(flat).size != flat.size:

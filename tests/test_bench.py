@@ -5,7 +5,7 @@ import pytest
 
 from ts1mc.bench import (CSV_COLUMNS, ExperimentRecord, ExperimentSpec, Suite,
                          aggregate_success, default_nuclear_lam, emit_csv,
-                         load_config, read_csv, run_suite)
+                         load_config, read_csv, run_suite, solver_config)
 from ts1mc.matrixio import write_pgm
 from ts1mc.problems import synthetic_test_image
 
@@ -91,14 +91,24 @@ class TestRunSuite:
         assert not records[0].success
         assert math.isinf(records[0].rel_err)
 
+    def test_rank_one_estimates_from_two(self):
+        # K = max(floor(1.5 r), r + 1): rank 1 starts from K = 2, not 1
+        spec = tiny_spec(suite=Suite.TABLE_RANK_ESTIMATE, m=40, n=40,
+                         ranks=(1, 2, 3, 4), trials=1, solvers=("ts1-s1",))
+        assert [solver_config(spec, "ts1-s1", r, 0.0).rank.k
+                for r in spec.ranks] == [2, 3, 4, 6]
+        (rec, *_) = run_suite(spec)
+        assert rec.r == 1 and rec.rank_estimated == 1 and rec.success
+
     def test_unusable_cell_fails_before_any_solve(self, monkeypatch):
-        # rank 1 gives K = floor(1.5) = 1, which no rank estimate can use;
-        # the rank-3 cells come first but must not run
+        # with r_min = 3, rank 2 gives K = 3, which no rank estimate can
+        # use; the rank-3 cells come first but must not run
         def no_solve(*args):
             raise AssertionError("solve called before every cell was checked")
         monkeypatch.setattr("ts1mc.bench.solve", no_solve)
         spec = tiny_spec(suite=Suite.TABLE_RANK_ESTIMATE, m=40, n=40,
-                         ranks=(3, 1), trials=1, solvers=("ts1-s1", "ts1-s2"))
+                         ranks=(3, 2), r_min=3, trials=1,
+                         solvers=("ts1-s1", "ts1-s2"))
         with pytest.raises(ValueError, match="rank estimate needs 1 <= r_min < K"):
             run_suite(spec)
 

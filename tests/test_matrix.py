@@ -49,12 +49,12 @@ class TestSvdFactors:
             assert all(np.array_equal(p, q) for p, q in zip(again, (u, sigma, vt)))
 
     def test_propack_failure_falls_back_to_the_dense_top_k(self, monkeypatch):
-        def no_convergence(*args, **kwargs):
-            raise LinAlgError("k=2 singular triplets did not converge")
+        def no_convergence(*args):
+            return -1  # PROPACK's info: budget spent before k converged
 
         x = np.random.default_rng(4).standard_normal((8, 6))
         u, sigma, vt = compute_svd(x)
-        monkeypatch.setattr(matrix, "svds", no_convergence)
+        monkeypatch.setattr(matrix, "_dlansvd", no_convergence)
         top_u, top_sigma, top_vt = compute_svd(x, 2)
         assert np.array_equal(top_u, u[:, :2])
         assert np.array_equal(top_sigma, sigma[:2])
@@ -80,6 +80,19 @@ class TestSvdFactors:
         order = np.argsort(-sigma, kind="stable")
         for p, q in zip(got, (u[:, order], sigma[order], vt[order])):
             assert np.array_equal(p, q)
+
+    def test_interleaved_calls_repeat_fresh_calls(self):
+        # PROPACK writes into the option and generator arrays it is handed;
+        # no call may leave state that changes a later one, at any shape.
+        rng = np.random.default_rng(6)
+        cases = [(rng.standard_normal((60, 40)), 5),
+                 (rng.standard_normal((40, 60)), 3),
+                 (rng.standard_normal((60, 50)), 7),
+                 (100 * rng.standard_normal((60, 40)), 5)]
+        fresh = [compute_svd(x, k) for x, k in cases]
+        for i in [3, 0, 2, 1, 0, 3, 1, 2, 2, 0]:
+            got = compute_svd(*cases[i])
+            assert all(np.array_equal(p, q) for p, q in zip(got, fresh[i]))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_input_is_rejected_on_both_paths(self, bad):

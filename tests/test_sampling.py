@@ -64,6 +64,20 @@ class TestSamplingOperator:
             with pytest.raises(ValueError):
                 SamplingOperator((2, 2), flat)
 
+    @pytest.mark.parametrize("flat", [[0.7, 3.2], [0.0, 3.0], [True, False]])
+    def test_non_integer_index_rejected(self, flat):
+        # a cast would read entries [0, 3] (or [1, 0]) without a word
+        with pytest.raises(ValueError, match="must hold integers"):
+            SamplingOperator((2, 2), np.array(flat))
+
+    def test_index_is_a_read_only_copy(self):
+        flat = np.array([0, 3])
+        op = SamplingOperator((2, 2), flat)
+        flat[1] = 0  # the caller's array is theirs to change
+        assert op.flat.tolist() == [0, 3]
+        with pytest.raises(ValueError, match="read-only"):
+            op.flat[1] = 0
+
     def test_dimension_mismatch(self, op22):
         with pytest.raises(ValueError):
             op22.apply(np.ones((3, 2)))
