@@ -176,14 +176,22 @@ def _combos(spec: ExperimentSpec) -> list[tuple[int, float, float]]:
     return list(itertools.product(spec.ranks, spec.covs, spec.noises))
 
 
-def build_problem(spec: ExperimentSpec, combo_idx: int, trial: int
+def _image_truths(spec: ExperimentSpec) -> dict[int, GroundTruth]:
+    """An inpaint suite's truth per rank: the image is read once and
+    truncated once per rank, since the truth depends on nothing else."""
+    image = (synthetic_test_image(spec.m, spec.n)
+             if spec.image in (None, "synthetic") else read_pgm(spec.image))
+    return {r: image_to_lowrank_truth(image, r) for r in spec.ranks}
+
+
+def build_problem(spec: ExperimentSpec, combo_idx: int, trial: int,
+                  truths: dict[int, GroundTruth] | None = None
                   ) -> tuple[GroundTruth, MaskedMatrix]:
-    """Clean truth and observed problem of one cell."""
+    """Clean truth and observed problem of one cell.  An inpaint suite's
+    ``truths``, built once by ``_image_truths``, may be passed in."""
     r, cov, noise = _combos(spec)[combo_idx]
     if spec.suite is Suite.INPAINT:
-        image = (synthetic_test_image(spec.m, spec.n)
-                 if spec.image in (None, "synthetic") else read_pgm(spec.image))
-        truth = image_to_lowrank_truth(image, r)
+        truth = (truths or _image_truths(replace(spec, ranks=(r,))))[r]
     else:
         truth = gen_gaussian_lowrank(
             spec.m, spec.n, r, cov, _derive_seed(spec.seed, combo_idx, trial, 0))
@@ -226,10 +234,11 @@ def run_suite(spec: ExperimentSpec) -> list[ExperimentRecord]:
     """
     configs = {(r, noise, name): solver_config(spec, name, r, noise)
                for r, _, noise in _combos(spec) for name in spec.solvers}
+    truths = _image_truths(spec) if spec.suite is Suite.INPAINT else None
     records: list[ExperimentRecord] = []
     for combo_idx, (r, cov, noise) in enumerate(_combos(spec)):
         for trial in range(spec.trials):
-            truth, masked = build_problem(spec, combo_idx, trial)
+            truth, masked = build_problem(spec, combo_idx, trial, truths)
             for name in spec.solvers:
                 records.append(_run_one(spec, truth, masked, trial, r, cov,
                                         noise, configs[r, noise, name]))

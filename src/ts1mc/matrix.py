@@ -12,16 +12,23 @@ bidiagonalization when k < min(m, n): one call of its ``dlansvd``, with the
 arguments scipy's ``svds(x, k, solver="propack")`` passes it, whose every
 callback is one gemv into PROPACK's own buffer.  The full SVD comes from
 LAPACK's gesdd, or from gesvd when gesdd fails to converge.
+
+Both routines are read from scipy's compiled f2py modules, loaded straight
+from their files: importing ``scipy.linalg`` or ``scipy.sparse.linalg``
+would run their Python packages, whose array-API layer alone costs about
+0.2 s in every process.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from importlib.machinery import EXTENSION_SUFFIXES
+from importlib.util import module_from_spec, spec_from_file_location
+from pathlib import Path
 
 import numpy as np
-from scipy.linalg import LinAlgError
-from scipy.linalg import svd as _svd
-from scipy.sparse.linalg._propack import dlansvd as _dlansvd
+import scipy
+from numpy.linalg import LinAlgError
 
 from .scalar import h_lambda, make_threshold_params, rho_a
 
@@ -31,10 +38,29 @@ __all__ = [
     "ts1_penalty",
     "threshold_spectrum",
     "ts1_prox_matrix",
-    "shrinkage_identity",
     "partial_trace",
     "ky_fan_norm",
 ]
+
+
+def _compiled(name: str):
+    """scipy's compiled module ``scipy.<name>``, loaded from its file without
+    importing the packages around it (nor entering it in ``sys.modules``)."""
+    base = Path(scipy.__file__).parent.joinpath(*name.split("."))
+    for suffix in EXTENSION_SUFFIXES:
+        path = base.with_name(base.name + suffix)
+        if path.is_file():
+            spec = spec_from_file_location(f"scipy.{name}", path)
+            module = module_from_spec(spec)
+            spec.loader.exec_module(module)
+            return module
+    raise ImportError(f"ts1mc needs scipy >= 1.17: no compiled scipy.{name} "
+                      f"in {base.parent}")
+
+
+_flapack = _compiled("linalg._flapack")
+_dlansvd = _compiled("sparse.linalg._propack").dlansvd
+
 
 # Seed of PROPACK's Lanczos start vector; a fixed start makes every
 # truncated SVD, and so every solve, repeat bit for bit.
@@ -98,6 +124,21 @@ def _lansvd(x: np.ndarray, k: int
     return u[:, :k], sigma, v[:, :k].T
 
 
+def _svd(x: np.ndarray, routine: str = "gesdd", compute_uv: bool = True):
+    """``scipy.linalg.svd(x, full_matrices=False, compute_uv=compute_uv,
+    lapack_driver=routine)`` of a float64 ``x``: the same two LAPACK calls,
+    the workspace query and the decomposition, with the same arguments."""
+    x = np.asarray_chkfinite(x)
+    lwork, _ = getattr(_flapack, f"d{routine}_lwork")(
+        *x.shape, compute_uv=compute_uv, full_matrices=0)
+    u, sigma, vt, info = getattr(_flapack, f"d{routine}")(
+        x, compute_uv=compute_uv, lwork=int(lwork), full_matrices=0,
+        overwrite_a=0)
+    if info > 0:
+        raise LinAlgError(f"SVD did not converge ({routine})")
+    return (u, sigma, vt) if compute_uv else sigma
+
+
 def compute_svd(x: np.ndarray, k: int | None = None
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """SVD ``(u, sigma, vt)`` with sigma nonincreasing: the top ``k``
@@ -120,9 +161,9 @@ def compute_svd(x: np.ndarray, k: int | None = None
             order = np.argsort(sigma, kind="stable")[::-1]
             return u[:, order], sigma[order], vt[order]
     try:
-        u, sigma, vt = _svd(x, full_matrices=False, lapack_driver="gesdd")
+        u, sigma, vt = _svd(x)
     except LinAlgError:
-        u, sigma, vt = _svd(x, full_matrices=False, lapack_driver="gesvd")
+        u, sigma, vt = _svd(x, "gesvd")
     return u[:, :k], sigma[:k], vt[:k]
 
 
@@ -175,15 +216,6 @@ def ts1_prox_matrix(y: np.ndarray, a: float, lambda_mu: float) -> np.ndarray:
     th = make_threshold_params(a, lambda_mu)
     u, sigma, vt = compute_svd(y)
     return (u * threshold_spectrum(sigma, *th)) @ vt
-
-
-def shrinkage_identity(m: int, n: int, k: int) -> np.ndarray:
-    """m x n matrix with ones on the first k diagonal entries."""
-    if not 1 <= k <= min(m, n):
-        raise IndexError(f"k={k} out of range for dims ({m}, {n})")
-    out = np.zeros((m, n))
-    out[np.arange(k), np.arange(k)] = 1.0
-    return out
 
 
 def partial_trace(x: np.ndarray, k: int) -> float:

@@ -32,6 +32,7 @@ belongs behind ``compute_svd``.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -189,7 +190,12 @@ def ts1_s1_select_lambda(sigma_b, r: int, mu: float, a: float) -> Threshold:
             return make_threshold_params(a, LAMBDA_MU_FLOOR / mu * mu)
         return Threshold(a, lam1 * mu, s_r1)
     s_r = float(sigma_b[r - 1])
-    lam2 = (a + 2.0 * s_r) ** 2 / (8.0 * (a + 1.0) * mu)
+    try:
+        lam2 = (a + 2.0 * s_r) ** 2 / (8.0 * (a + 1.0) * mu)
+    except OverflowError:
+        # a float's ** raises where numpy's gives inf; the inf weight then
+        # fails the next SVD with ValueError, as ts1-s2 fails at this scale
+        lam2 = math.inf
     return Threshold(a, lam2 * mu, s_r, keep_boundary=True)
 
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ from ts1mc.bench import (CSV_COLUMNS, ExperimentRecord, ExperimentSpec, Suite,
                          aggregate_success, default_nuclear_lam, emit_csv,
                          load_config, read_csv, run_suite, solver_config)
 from ts1mc.matrixio import write_pgm
-from ts1mc.problems import synthetic_test_image
+from ts1mc.problems import (gen_gaussian_lowrank, image_to_lowrank_truth,
+                            synthetic_test_image)
 
 
 def tiny_spec(**kw):
@@ -91,6 +93,22 @@ class TestRunSuite:
         assert not records[0].success
         assert math.isinf(records[0].rel_err)
 
+    def test_ts1_s1_overflow_becomes_failed_row(self, monkeypatch):
+        # data scaled by 1e154 overflow ts1-s1's float weight (a + 2 s_r)^2;
+        # the cell must become an inf row, not end the suite
+        def scaled(*args):
+            truth = gen_gaussian_lowrank(*args)
+            return replace(truth, matrix=1e154 * truth.matrix)
+        monkeypatch.setattr("ts1mc.bench.gen_gaussian_lowrank", scaled)
+        spec = tiny_spec(suite=Suite.TABLE_KNOWN_RANK, m=40, n=40, ranks=(3,),
+                         trials=1, solvers=("ts1-s1", "ts1-s2"))
+        with np.errstate(all="ignore"):
+            records = run_suite(spec)
+        assert [rec.solver for rec in records] == ["ts1-s1", "ts1-s2"]
+        for rec in records:
+            assert math.isinf(rec.rel_err) and not rec.success
+            assert rec.iterations == 0
+
     def test_rank_one_estimates_from_two(self):
         # K = max(floor(1.5 r), r + 1): rank 1 starts from K = 2, not 1
         spec = tiny_spec(suite=Suite.TABLE_RANK_ESTIMATE, m=40, n=40,
@@ -120,6 +138,24 @@ class TestRunSuite:
         assert len(records) == 4
         by = {(rec.solver, rec.sigma_noise): rec for rec in records}
         assert by[("ts1-s2", 0.01)].psnr > by[("ts1-s2", 0.1)].psnr
+
+    def test_inpaint_truth_built_once_per_rank(self, monkeypatch):
+        # the truth depends only on the rank: one image, one truncation each
+        calls = {"image": 0, "truncate": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+        monkeypatch.setattr("ts1mc.bench.synthetic_test_image",
+                            counted("image", synthetic_test_image))
+        monkeypatch.setattr("ts1mc.bench.image_to_lowrank_truth",
+                            counted("truncate", image_to_lowrank_truth))
+        spec = tiny_spec(suite=Suite.INPAINT, m=24, n=24, ranks=(2, 3),
+                         noises=(0.0, 0.1), trials=2, max_iters=3)
+        assert len(run_suite(spec)) == 8
+        assert calls == {"image": 1, "truncate": 2}
 
     def test_inpaint_rows_take_the_image_shape(self, tmp_path):
         image = tmp_path / "wide.pgm"

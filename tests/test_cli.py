@@ -97,6 +97,22 @@ class TestInvalidInput:
         assert cli_main(["solve", "--in", prefix, "--rank", "2"]) == 1
         assert "finite" in capsys.readouterr().err
 
+    def test_ts1_s1_overflow_exits_1(self, tmp_path, capsys):
+        # at this scale ts1-s1's (a + 2 sigma_r)^2 overflows a float; the
+        # solve must fail like ts1-s2's, with a message and no traceback
+        prefix = str(tmp_path / "prob")
+        assert cli_main(["gen", "--m", "40", "--n", "40", "--rank", "3",
+                         "--seed", "1", "--out", prefix]) == 0
+        for name in ("truth", "observed"):
+            path = f"{prefix}.{name}.csv"
+            write_matrix_csv(path, 1e154 * read_matrix_csv(path))
+        capsys.readouterr()
+        with np.errstate(all="ignore"):
+            assert cli_main(["solve", "--in", prefix, "--solver", "ts1-s1",
+                             "--rank", "3"]) == 1
+        assert "ts1mc solve: array must not contain infs or NaNs" in (
+            capsys.readouterr().err)
+
     def test_shape_mismatch_rejected_before_solving(self, tmp_path, capsys,
                                                     monkeypatch):
         prefix = str(tmp_path / "prob")

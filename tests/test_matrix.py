@@ -1,16 +1,21 @@
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from scipy.linalg import LinAlgError, svd
+from scipy.linalg import svd
 from scipy.sparse.linalg import svds
 
 from conftest import random_orthogonal
 from ts1mc import matrix
 from ts1mc.matrix import (compute_svd, ky_fan_norm, partial_trace,
-                          shrinkage_identity, singular_values,
-                          threshold_spectrum, ts1_penalty, ts1_prox_matrix)
-from ts1mc.scalar import make_threshold_params, ts1_prox_scalar
+                          singular_values, threshold_spectrum, ts1_penalty,
+                          ts1_prox_matrix)
+from ts1mc.scalar import make_threshold_params, rho_a, ts1_prox_scalar
 
 
 def ts1_of(x, a):
@@ -101,6 +106,8 @@ class TestSvdFactors:
         for k in (5, None):
             with pytest.raises(ValueError, match="must not contain infs or NaNs"):
                 compute_svd(x, k)
+        with pytest.raises(ValueError, match="must not contain infs or NaNs"):
+            singular_values(x)
 
     def test_k_at_full_rank_is_the_dense_svd(self):
         x = np.random.default_rng(2).standard_normal((9, 6))
@@ -110,24 +117,70 @@ class TestSvdFactors:
                        for p, q in zip(compute_svd(x, k), dense))
 
     def test_gesdd_failure_falls_back_to_gesvd(self, monkeypatch):
-        drivers = []
+        routines = []
+        lapack = matrix._flapack
 
-        def gesdd_fails(x, full_matrices, lapack_driver):
-            drivers.append(lapack_driver)
-            if lapack_driver == "gesdd":
-                raise LinAlgError("SVD did not converge")
-            return svd(x, full_matrices=full_matrices,
-                       lapack_driver=lapack_driver)
+        def gesdd_fails(*args, **kwargs):
+            routines.append("gesdd")
+            return (*lapack.dgesdd(*args, **kwargs)[:3], 1)  # info > 0
 
-        monkeypatch.setattr(matrix, "_svd", gesdd_fails)
+        def gesvd(*args, **kwargs):
+            routines.append("gesvd")
+            return lapack.dgesvd(*args, **kwargs)
+
+        monkeypatch.setattr(matrix, "_flapack", SimpleNamespace(
+            dgesdd=gesdd_fails, dgesdd_lwork=lapack.dgesdd_lwork,
+            dgesvd=gesvd, dgesvd_lwork=lapack.dgesvd_lwork))
         x = np.random.default_rng(3).standard_normal((7, 5))
         u, sigma, vt = compute_svd(x)
-        assert drivers == ["gesdd", "gesvd"]
+        assert routines == ["gesdd", "gesvd"]
+        assert_same_arrays((u, sigma, vt),
+                           svd(x, full_matrices=False, lapack_driver="gesvd"))
         assert np.allclose((u * sigma) @ vt, x, atol=1e-12)
         assert np.allclose(ts1_prox_matrix(x, 1.0, 0.1),
                            (u * threshold_spectrum(
                                sigma, *make_threshold_params(1.0, 0.1))) @ vt,
                            atol=1e-12)
+
+
+def assert_same_arrays(got, want):
+    """Equal bit for bit, in the same dtype, shape and memory layout."""
+    assert len(got) == len(want)
+    for p, q in zip(got, want):
+        assert (p.dtype, p.shape, p.strides, p.flags.c_contiguous,
+                p.flags.f_contiguous) == (q.dtype, q.shape, q.strides,
+                                          q.flags.c_contiguous,
+                                          q.flags.f_contiguous)
+        assert p.tobytes() == q.tobytes()
+
+
+class TestLapackWithoutScipyLinalg:
+    """The dense SVD calls scipy's compiled LAPACK module directly; it must
+    give what ``scipy.linalg.svd`` gives, without importing that package."""
+
+    SHAPES = [(30, 30), (40, 12), (12, 40), (1, 9), (8, 6)]
+
+    def test_import_leaves_the_python_packages_out(self):
+        code = ("import sys, ts1mc, ts1mc.cli; print(sorted(m for m in "
+                "('scipy.linalg', 'scipy.sparse', 'numpy.f2py') "
+                "if m in sys.modules))")
+        env = {**os.environ, "PYTHONPATH": str(Path(matrix.__file__).parents[1])}
+        out = subprocess.run([sys.executable, "-c", code], check=True, env=env,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "[]"
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_dense_svd_is_scipy_linalg_svd(self, shape):
+        x = np.random.default_rng(sum(shape)).standard_normal(shape)
+        for arr in (x, np.asfortranarray(x)):
+            assert_same_arrays(compute_svd(arr),
+                               svd(arr, full_matrices=False))
+            assert_same_arrays((singular_values(arr),),
+                               (svd(arr, compute_uv=False),))
+
+    def test_missing_module_names_the_scipy_floor(self):
+        with pytest.raises(ImportError, match=r"scipy >= 1\.17"):
+            matrix._compiled("linalg._no_such_module")
 
 
 class TestPenalty:
@@ -170,13 +223,12 @@ class TestProxMatrix:
         a, lm = 1.0, 0.25
         out = ts1_prox_matrix(y, a, lm)
         obj_out = 0.5 * np.sum((out - y) ** 2) + lm * ts1_of(out, a)
-        best = np.inf
-        for d0 in np.arange(0.0, 4.0, 1e-3):
-            # second diagonal entry scanned coarsely around the kill region
-            for d1 in np.arange(0.0, 0.3, 1e-3):
-                cand = 0.5 * ((d0 - 3.0) ** 2 + (d1 - 0.1) ** 2) \
-                    + lm * ts1_penalty(np.array([d0, d1]), a)
-                best = min(best, cand)
+        d0 = np.arange(0.0, 4.0, 1e-3)[:, None]
+        # second diagonal entry scanned coarsely around the kill region
+        d1 = np.arange(0.0, 0.3, 1e-3)[None, :]
+        cand = 0.5 * ((d0 - 3.0) ** 2 + (d1 - 0.1) ** 2) \
+            + lm * (rho_a(d0, a) + rho_a(d1, a))
+        best = cand.min()
         assert obj_out <= best + 1e-6
 
     def test_random_probe_optimality(self):
@@ -277,16 +329,3 @@ class TestTraceAndKyFan:
         for k in range(1, 5):
             assert partial_trace(x, k) == pytest.approx(
                 ky_fan_norm(singular_values(x), k), abs=1e-10)
-
-    def test_trace_as_shrinkage_identity_inner_product(self):
-        rng = np.random.default_rng(21)
-        x = rng.standard_normal((5, 7))
-        for k in (1, 3, 5):
-            ip = float(np.sum(x * shrinkage_identity(5, 7, k)))
-            assert ip == pytest.approx(partial_trace(x, k), abs=1e-12)
-
-    def test_shrinkage_identity_bounds(self):
-        with pytest.raises(IndexError):
-            shrinkage_identity(3, 4, 0)
-        with pytest.raises(IndexError):
-            shrinkage_identity(3, 4, 4)

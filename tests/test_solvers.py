@@ -44,6 +44,14 @@ class TestS1Selection:
         lam2 = (1.0 + 2.0 * 3.0) ** 2 / (8.0 * 2.0 * 0.99)
         assert sel.lambda_mu == pytest.approx(lam2 * 0.99, rel=1e-12)
 
+    def test_overflowing_weight_is_infinite(self):
+        # (a + 2 sigma_r)^2 of a float raises OverflowError past ~1.3e154;
+        # the weight becomes inf, as numpy arithmetic would make it
+        sigma = np.array([4e154, 3e154, 1e154])
+        sel = ts1_s1_select_lambda(sigma, r=2, mu=0.99, a=1.0)
+        assert sel.keep_boundary and sel.t == 3e154
+        assert sel.lambda_mu == np.inf
+
     def test_threshold_separates_working_rank(self):
         rng = np.random.default_rng(6)
         from ts1mc.matrix import threshold_spectrum
