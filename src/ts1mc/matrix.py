@@ -124,19 +124,22 @@ def _lansvd(x: np.ndarray, k: int
     return u[:, :k], sigma, v[:, :k].T
 
 
-def _svd(x: np.ndarray, routine: str = "gesdd", compute_uv: bool = True):
-    """``scipy.linalg.svd(x, full_matrices=False, compute_uv=compute_uv,
-    lapack_driver=routine)`` of a float64 ``x``: the same two LAPACK calls,
-    the workspace query and the decomposition, with the same arguments."""
+def _svd(x: np.ndarray, compute_uv: bool = True):
+    """``scipy.linalg.svd(x, full_matrices=False, compute_uv=compute_uv)`` of
+    a float64 ``x``: the same two LAPACK calls, the workspace query and the
+    decomposition, with the same arguments.  When gesdd does not converge
+    the slower but more robust gesvd makes them again; ``LinAlgError`` only
+    when both fail."""
     x = np.asarray_chkfinite(x)
-    lwork, _ = getattr(_flapack, f"d{routine}_lwork")(
-        *x.shape, compute_uv=compute_uv, full_matrices=0)
-    u, sigma, vt, info = getattr(_flapack, f"d{routine}")(
-        x, compute_uv=compute_uv, lwork=int(lwork), full_matrices=0,
-        overwrite_a=0)
-    if info > 0:
-        raise LinAlgError(f"SVD did not converge ({routine})")
-    return (u, sigma, vt) if compute_uv else sigma
+    for routine in ("gesdd", "gesvd"):
+        lwork, _ = getattr(_flapack, f"d{routine}_lwork")(
+            *x.shape, compute_uv=compute_uv, full_matrices=0)
+        u, sigma, vt, info = getattr(_flapack, f"d{routine}")(
+            x, compute_uv=compute_uv, lwork=int(lwork), full_matrices=0,
+            overwrite_a=0)
+        if info <= 0:
+            return (u, sigma, vt) if compute_uv else sigma
+    raise LinAlgError("SVD did not converge (gesdd, gesvd)")
 
 
 def compute_svd(x: np.ndarray, k: int | None = None
@@ -146,29 +149,21 @@ def compute_svd(x: np.ndarray, k: int | None = None
 
     PROPACK gives up when its Lanczos budget (10 k steps) runs out before
     the k-th triplet converges, as on a flat noise tail; the top k then
-    come from the full SVD.  That is gesdd's, or when gesdd does not
-    converge, the slower but more robust gesvd's.  Non-finite input raises
-    ``ValueError`` on either path.
+    come from the full SVD.  Non-finite input raises ``ValueError`` on
+    either path.
     """
     x = np.asarray(x, dtype=float)
     if k is not None and k < min(x.shape):
         try:
-            u, sigma, vt = _lansvd(np.asarray_chkfinite(x), k)
+            return _lansvd(np.asarray_chkfinite(x), k)
         except LinAlgError:
             pass
-        else:
-            # nonincreasing, ties in reverse order: as ``svds`` hands them on
-            order = np.argsort(sigma, kind="stable")[::-1]
-            return u[:, order], sigma[order], vt[order]
-    try:
-        u, sigma, vt = _svd(x)
-    except LinAlgError:
-        u, sigma, vt = _svd(x, "gesvd")
+    u, sigma, vt = _svd(x)
     return u[:, :k], sigma[:k], vt[:k]
 
 
 def singular_values(x: np.ndarray) -> np.ndarray:
-    """Singular values of ``x`` in nonincreasing order (as gesdd returns them)."""
+    """Singular values of ``x`` in nonincreasing order, from ``_svd``."""
     return _svd(np.asarray(x, dtype=float), compute_uv=False)
 
 

@@ -49,9 +49,15 @@ def mse(x_opt: np.ndarray, m_truth: np.ndarray) -> float:
 
 
 def evaluate(x_opt: np.ndarray, m_truth: np.ndarray) -> RecoveryMetrics:
-    """All measures at once; PSNR is 10 log10(1 / mse), +inf when exact."""
+    """All measures at once; PSNR is 10 log10(1 / mse), +inf when exact and
+    -inf when the squared error overflows."""
     rel = relative_error(x_opt, m_truth)
     err = mse(x_opt, m_truth)
-    psnr = math.inf if err == 0.0 else float(10.0 * math.log10(1.0 / err))
+    if err == 0.0:
+        psnr = math.inf
+    elif err == math.inf:
+        psnr = -math.inf
+    else:
+        psnr = float(10.0 * math.log10(1.0 / err))
     return RecoveryMetrics(rel_err=rel, mse=err, psnr=psnr,
                            success=rel < SUCCESS_REL_ERR)

@@ -109,6 +109,24 @@ class TestRunSuite:
             assert math.isinf(rec.rel_err) and not rec.success
             assert rec.iterations == 0
 
+    def test_overflowing_error_becomes_failed_row(self, monkeypatch):
+        # data scaled by 1e154: the nuclear solve ends after one iteration
+        # with an inf squared error; its row gets PSNR -inf, and the suite
+        # goes on to write every row
+        def scaled(*args):
+            truth = gen_gaussian_lowrank(*args)
+            return replace(truth, matrix=1e154 * truth.matrix)
+        monkeypatch.setattr("ts1mc.bench.gen_gaussian_lowrank", scaled)
+        spec = tiny_spec(suite=Suite.TABLE_KNOWN_RANK, m=40, n=40, ranks=(3,),
+                         trials=1, solvers=("ts1-s2", "nuclear"),
+                         max_iters=50)
+        with np.errstate(all="ignore"):
+            records = run_suite(spec)
+        assert [rec.solver for rec in records] == ["ts1-s2", "nuclear"]
+        nuclear = records[1]
+        assert nuclear.mse == math.inf and nuclear.psnr == -math.inf
+        assert not nuclear.success and nuclear.iterations >= 1
+
     def test_rank_one_estimates_from_two(self):
         # K = max(floor(1.5 r), r + 1): rank 1 starts from K = 2, not 1
         spec = tiny_spec(suite=Suite.TABLE_RANK_ESTIMATE, m=40, n=40,

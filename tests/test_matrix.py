@@ -86,6 +86,21 @@ class TestSvdFactors:
         for p, q in zip(got, (u[:, order], sigma[order], vt[order])):
             assert np.array_equal(p, q)
 
+    def test_propack_order_is_handed_on(self):
+        # PROPACK returns sigma nonincreasing and svds lists its triplets
+        # reversed; asked past the rank, the zero tail ties exactly, and
+        # the tied triplets keep PROPACK's order too
+        rng = np.random.default_rng(5)
+        low = rng.standard_normal((30, 3)) @ rng.standard_normal((3, 40))
+        for x, k in [(rng.standard_normal((50, 40)), 8), (low, 15)]:
+            got = compute_svd(x, k)
+            u, sigma, vt = svds(x, k, solver="propack",
+                                rng=np.random.default_rng(matrix.PROPACK_SEED))
+            for p, q in zip(got, (u[:, ::-1], sigma[::-1], vt[::-1])):
+                assert np.array_equal(p, q)
+            assert np.all(np.diff(got[1]) <= 0)
+        assert np.count_nonzero(got[1]) == 3
+
     def test_interleaved_calls_repeat_fresh_calls(self):
         # PROPACK writes into the option and generator arrays it is handed;
         # no call may leave state that changes a later one, at any shape.
@@ -141,6 +156,19 @@ class TestSvdFactors:
                            (u * threshold_spectrum(
                                sigma, *make_threshold_params(1.0, 0.1))) @ vt,
                            atol=1e-12)
+        # singular_values shares the fallback
+        del routines[:]
+        assert_same_arrays([singular_values(x)],
+                           [svd(x, compute_uv=False, lapack_driver="gesvd")])
+        assert routines == ["gesdd", "gesvd"]
+
+        def gesvd_fails(*args, **kwargs):
+            return (*lapack.dgesvd(*args, **kwargs)[:3], 1)  # info > 0
+
+        monkeypatch.setattr(matrix._flapack, "dgesvd", gesvd_fails)
+        for call in (compute_svd, singular_values):
+            with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+                call(x)
 
 
 def assert_same_arrays(got, want):

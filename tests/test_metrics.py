@@ -67,6 +67,16 @@ class TestPsnr:
         m = np.ones((3, 3))
         assert evaluate(m, m).psnr == math.inf
 
+    def test_overflowing_error_is_minus_infinity(self):
+        # the squared error of a finite pair can overflow; PSNR then has
+        # no finite value, and the trial is a failure, not an exception
+        m = np.ones((3, 3))
+        with np.errstate(over="ignore"):
+            met = evaluate(m + 1e200, m)
+        assert met.mse == math.inf
+        assert met.psnr == -math.inf
+        assert not met.success
+
     def test_monotone_in_mse(self):
         m = np.ones((4, 4))
         values = [evaluate(m + d, m).psnr for d in (0.01, 0.05, 0.2, 0.7)]
