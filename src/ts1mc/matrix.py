@@ -30,7 +30,7 @@ import numpy as np
 import scipy
 from numpy.linalg import LinAlgError
 
-from .scalar import h_lambda, make_threshold_params, rho_a
+from .scalar import Threshold, h_lambda, make_threshold_params, rho_a
 
 __all__ = [
     "compute_svd",
@@ -45,7 +45,8 @@ __all__ = [
 
 def _compiled(name: str):
     """scipy's compiled module ``scipy.<name>``, loaded from its file without
-    importing the packages around it (nor entering it in ``sys.modules``)."""
+    importing the packages around it.  Loading enters ``_flapack``, but not
+    ``scipy.linalg`` or ``_propack``, in ``sys.modules``."""
     base = Path(scipy.__file__).parent.joinpath(*name.split("."))
     for suffix in EXTENSION_SUFFIXES:
         path = base.with_name(base.name + suffix)
@@ -149,9 +150,11 @@ def compute_svd(x: np.ndarray, k: int | None = None
 
     PROPACK gives up when its Lanczos budget (10 k steps) runs out before
     the k-th triplet converges, as on a flat noise tail; the top k then
-    come from the full SVD.  Non-finite input raises ``ValueError`` on
-    either path.
+    come from the full SVD.  Non-finite input and k < 1 raise
+    ``ValueError``.
     """
+    if k is not None and k < 1:
+        raise ValueError(f"need k >= 1 singular triplets, got k={k}")
     x = np.asarray(x, dtype=float)
     if k is not None and k < min(x.shape):
         try:
@@ -183,21 +186,20 @@ def ts1_penalty(sigma, a: float) -> float:
     return float(np.sum(rho_a(sigma, a)))
 
 
-def threshold_spectrum(sigma, a, lambda_mu, t, keep_boundary=False):
-    """The scalar prox of ``Threshold(a, lambda_mu, t, keep_boundary)`` on
-    a nonnegative spectrum; called as ``threshold_spectrum(sigma, *th)``.
+def threshold_spectrum(sigma, th: Threshold):
+    """The scalar prox of ``th`` on a nonnegative spectrum.
 
-    Values strictly above ``t`` map to ``h_lambda``; the rest map to zero.
-    With ``keep_boundary`` values equal to ``t`` also map through
-    ``h_lambda`` — at a super-critical threshold both branches minimize
-    the prox objective, and iterative schemes whose threshold lands
-    exactly on a singular value need the surviving selection.
+    Values strictly above ``th.t`` map to ``h_lambda``; the rest map to
+    zero.  With ``th.keep_boundary`` values equal to ``th.t`` also map
+    through ``h_lambda`` — at a super-critical threshold both branches
+    minimize the prox objective, and iterative schemes whose threshold
+    lands exactly on a singular value need the surviving selection.
     """
     sigma = np.asarray(sigma, dtype=float)
-    keep = sigma >= t if keep_boundary else sigma > t
+    keep = sigma >= th.t if th.keep_boundary else sigma > th.t
     out = np.zeros_like(sigma)
     if np.any(keep):
-        out[keep] = h_lambda(sigma[keep], a, lambda_mu)
+        out[keep] = h_lambda(sigma[keep], th.a, th.lambda_mu)
     return out
 
 
@@ -210,7 +212,7 @@ def ts1_prox_matrix(y: np.ndarray, a: float, lambda_mu: float) -> np.ndarray:
     """
     th = make_threshold_params(a, lambda_mu)
     u, sigma, vt = compute_svd(y)
-    return (u * threshold_spectrum(sigma, *th)) @ vt
+    return (u * threshold_spectrum(sigma, th)) @ vt
 
 
 def partial_trace(x: np.ndarray, k: int) -> float:

@@ -16,7 +16,7 @@ the critical value a^2 / (2(a+1)); the prox is continuous in the first
 (sub-critical) regime and jumps in the second (super-critical) regime.
 
 ``Threshold`` records one such map; the solvers' per-step selectors return
-the same record, and ``matrix.threshold_spectrum`` takes it unpacked.
+it, and ``ts1_prox_scalar`` and ``matrix.threshold_spectrum`` apply it.
 """
 
 from __future__ import annotations
@@ -43,11 +43,10 @@ ARCCOS_CLAMP_TOL = 1e-9
 class Threshold(NamedTuple):
     """Shape, penalty weight and active threshold of one TS1 prox.
 
-    Fields are in ``threshold_spectrum``'s argument order.  ``t1``, ``t2``
-    and ``t3`` are the candidate thresholds of (a, lambda_mu); they satisfy
-    t1 <= t3 <= t2, with equality exactly at the critical lambda_mu.  The
-    active ``t`` is t2 in the sub-critical regime and t3 in the
-    super-critical one.  With ``keep_boundary`` an input of magnitude
+    ``t1``, ``t2`` and ``t3`` are the candidate thresholds of (a, lambda_mu);
+    they satisfy t1 <= t3 <= t2, with equality exactly at the critical
+    lambda_mu.  The active ``t`` is t2 in the sub-critical regime and t3 in
+    the super-critical one.  With ``keep_boundary`` an input of magnitude
     exactly ``t`` maps through ``h_lambda`` rather than to zero.
     """
 

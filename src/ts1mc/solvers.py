@@ -24,15 +24,14 @@ for the k triplets the policy reads: ts1-s1/ts1-s2 threshold at or above
 sigma_{rank+1}, so they need only the top rank + 1 (K + 1 while the
 eigengap test is pending); ts1-it and nuclear keep every sigma above a
 fixed level and take the full spectrum.  ``scalar.Threshold`` carries the
-step's (a, lambda_mu, t, keep_boundary) in ``threshold_spectrum``'s
-argument order and fills the iteration history.  A new spectral backend
-belongs behind ``compute_svd``.
+step's (a, lambda_mu, t, keep_boundary) to ``threshold_spectrum`` and into
+the iteration history.  A new spectral backend belongs behind
+``compute_svd``.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -183,19 +182,14 @@ def ts1_s1_select_lambda(sigma_b, r: int, mu: float, a: float) -> Threshold:
     sigma_b = np.asarray(sigma_b, dtype=float)
     if not 1 <= r < sigma_b.size:
         raise IndexError(f"need 1 <= r < {sigma_b.size} singular values, got r={r}")
-    s_r1 = float(sigma_b[r])
+    s_r1 = sigma_b[r]
     lam1 = a * s_r1 / (mu * (a + 1.0))
     if lam1 <= a * a / (2.0 * (a + 1.0) * mu):
         if lam1 * mu < LAMBDA_MU_FLOOR:
             return make_threshold_params(a, LAMBDA_MU_FLOOR / mu * mu)
         return Threshold(a, lam1 * mu, s_r1)
-    s_r = float(sigma_b[r - 1])
-    try:
-        lam2 = (a + 2.0 * s_r) ** 2 / (8.0 * (a + 1.0) * mu)
-    except OverflowError:
-        # a float's ** raises where numpy's gives inf; the inf weight then
-        # fails the next SVD with ValueError, as ts1-s2 fails at this scale
-        lam2 = math.inf
+    s_r = sigma_b[r - 1]
+    lam2 = (a + 2.0 * s_r) ** 2 / (8.0 * (a + 1.0) * mu)
     return Threshold(a, lam2 * mu, s_r, keep_boundary=True)
 
 
@@ -210,7 +204,7 @@ def ts1_s2_select_params(sigma_b, r: int) -> Threshold:
     sigma_b = np.asarray(sigma_b, dtype=float)
     if not 1 <= r < sigma_b.size:
         raise IndexError(f"need 1 <= r < {sigma_b.size} singular values, got r={r}")
-    s_r1 = float(sigma_b[r])
+    s_r1 = sigma_b[r]
     lambda_mu = 2.0 * s_r1 * s_r1 / (1.0 + 2.0 * s_r1)
     floored = lambda_mu < LAMBDA_MU_FLOOR
     if floored:
@@ -277,7 +271,7 @@ def fixed_point_step(x: np.ndarray, op: SamplingOperator, b: np.ndarray,
 def _ts1_threshold(a: float, lambda_mu: float) -> Callable:
     """ts1-it's policy: the TS1 prox at fixed (a, lambda_mu)."""
     th = make_threshold_params(a, lambda_mu)
-    return lambda sigma: (threshold_spectrum(sigma, *th), th)
+    return lambda sigma: (threshold_spectrum(sigma, th), th)
 
 
 def _soft_threshold(lambda_mu: float) -> Callable:
@@ -312,7 +306,7 @@ class _AdaptiveThreshold:
             th = ts1_s2_select_params(sigma, self.rank)
         else:
             th = ts1_s1_select_lambda(sigma, self.rank, cfg.mu, self.a)
-        return threshold_spectrum(sigma, *th), th
+        return threshold_spectrum(sigma, th), th
 
 
 def ts1_it_step(x: np.ndarray, ctx: ObjectiveContext) -> np.ndarray:

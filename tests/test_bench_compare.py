@@ -29,14 +29,18 @@ def record(tag: str, **values) -> dict:
     return out
 
 
-def run_main(tmp_path, old: dict, new: dict, capsys) -> tuple[int, list[str]]:
+def run_records(tmp_path, records: list[dict], capsys) -> tuple[int, list[str]]:
     paths = []
-    for rec in (old, new):
+    for rec in records:
         path = tmp_path / f"BENCH_{rec['tag']}.json"
         path.write_text(json.dumps(rec), encoding="utf-8")
         paths.append(str(path))
     code = bench_compare.main(paths)
     return code, capsys.readouterr().out.splitlines()
+
+
+def run_main(tmp_path, old: dict, new: dict, capsys) -> tuple[int, list[str]]:
+    return run_records(tmp_path, [old, new], capsys)
 
 
 def test_equal_records_list_every_metric_and_pass(tmp_path, capsys):
@@ -82,3 +86,53 @@ def test_larger_failed_share_fails(tmp_path, capsys):
     assert code == 1
     assert lines[-1].startswith(WORKLOADS[2])
     assert "failed 0/4 -> 1/4  REGRESSION" in lines[-1]
+
+
+def parent_and_change(parent: list[float], change: list[float]) -> list[dict]:
+    """Records ``p0 .. p(N-1)`` then ``c0 .. c(N-1)`` whose first workload's
+    wall_s takes the given values."""
+    return ([record(f"p{i}", wall_s=v) for i, v in enumerate(parent)]
+            + [record(f"c{i}", wall_s=v) for i, v in enumerate(change)])
+
+
+def test_n_runs_per_side_print_medians_and_spreads(tmp_path, capsys):
+    code, lines = run_records(
+        tmp_path, parent_and_change([10.0, 9.0, 11.0], [10.0, 10.5, 9.5]), capsys)
+    assert code == 0
+    assert lines[0] == "p0, p1, p2 -> c0, c1, c2"
+    row = next(row for row in lines if row.split()[:2] == [WORKLOADS[0], "wall_s"])
+    assert row.split()[2:5] == ["10", "10", "1.000"]
+    assert "[9, 11]" in row and "[9.5, 10.5]" in row
+
+
+def test_change_inside_the_parent_spread_is_not_flagged(tmp_path, capsys):
+    # the median moves by 1.3x, beyond the 0.24 bound, yet one parent run
+    # was slower still: run-to-run noise, not a regression
+    code, lines = run_records(
+        tmp_path, parent_and_change([10.0, 10.0, 14.0], [13.0, 13.0, 13.0]), capsys)
+    assert code == 0
+    assert not any("REGRESSION" in row for row in lines)
+
+
+def test_change_beyond_the_bound_and_every_parent_run_is_flagged(tmp_path, capsys):
+    code, lines = run_records(
+        tmp_path, parent_and_change([10.0, 9.0, 11.0], [13.0, 14.0, 12.0]), capsys)
+    assert code == 1
+    marked = [row.split()[:2] for row in lines if "REGRESSION" in row]
+    assert marked == [[WORKLOADS[0], "wall_s"]]
+
+
+def test_one_incorrect_change_run_is_flagged(tmp_path, capsys):
+    records = parent_and_change([10.0, 10.0], [10.0, 10.0])
+    records[-1]["workloads"][WORKLOADS[1]]["untraced"]["correct"] = False
+    code, lines = run_records(tmp_path, records, capsys)
+    assert code == 1
+    assert f"{WORKLOADS[1]:<18} correct=False failed 0/8 -> 0/8  REGRESSION" in lines
+
+
+@pytest.mark.parametrize("count", [0, 1, 3])
+def test_odd_or_no_file_count_is_a_usage_error(tmp_path, capsys, count):
+    paths = [str(tmp_path / f"BENCH_{i}.json") for i in range(count)]
+    assert bench_compare.main(paths) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("usage:")

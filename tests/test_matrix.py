@@ -124,6 +124,13 @@ class TestSvdFactors:
         with pytest.raises(ValueError, match="must not contain infs or NaNs"):
             singular_values(x)
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_is_rejected(self, k):
+        # k = 0 would reach PROPACK, whose LAPACK call kills the process
+        x = np.random.default_rng(0).standard_normal((30, 30))
+        with pytest.raises(ValueError, match=f"k={k}"):
+            compute_svd(x, k)
+
     def test_k_at_full_rank_is_the_dense_svd(self):
         x = np.random.default_rng(2).standard_normal((9, 6))
         dense = compute_svd(x)
@@ -154,7 +161,7 @@ class TestSvdFactors:
         assert np.allclose((u * sigma) @ vt, x, atol=1e-12)
         assert np.allclose(ts1_prox_matrix(x, 1.0, 0.1),
                            (u * threshold_spectrum(
-                               sigma, *make_threshold_params(1.0, 0.1))) @ vt,
+                               sigma, make_threshold_params(1.0, 0.1))) @ vt,
                            atol=1e-12)
         # singular_values shares the fallback
         del routines[:]
@@ -305,10 +312,10 @@ class TestProxMatrix:
 class TestThresholdSpectrum:
     def test_boundary_conventions(self):
         a, lm = 1.0, 1.0
-        t = make_threshold_params(a, lm).t
-        sig = np.array([2.0, t, 0.5])
-        kill = threshold_spectrum(sig, a, lm, t)
-        keep = threshold_spectrum(sig, a, lm, t, keep_boundary=True)
+        th = make_threshold_params(a, lm)
+        sig = np.array([2.0, th.t, 0.5])
+        kill = threshold_spectrum(sig, th)
+        keep = threshold_spectrum(sig, th._replace(keep_boundary=True))
         assert kill[1] == 0.0
         assert keep[1] > 0.0
         assert kill[2] == keep[2] == 0.0

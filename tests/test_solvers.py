@@ -45,10 +45,10 @@ class TestS1Selection:
         assert sel.lambda_mu == pytest.approx(lam2 * 0.99, rel=1e-12)
 
     def test_overflowing_weight_is_infinite(self):
-        # (a + 2 sigma_r)^2 of a float raises OverflowError past ~1.3e154;
-        # the weight becomes inf, as numpy arithmetic would make it
+        # (a + 2 sigma_r)^2 overflows to inf past ~1.3e154
         sigma = np.array([4e154, 3e154, 1e154])
-        sel = ts1_s1_select_lambda(sigma, r=2, mu=0.99, a=1.0)
+        with np.errstate(over="ignore"):
+            sel = ts1_s1_select_lambda(sigma, r=2, mu=0.99, a=1.0)
         assert sel.keep_boundary and sel.t == 3e154
         assert sel.lambda_mu == np.inf
 
@@ -61,7 +61,7 @@ class TestS1Selection:
             if sigma[r - 1] - sigma[r] < 1e-3:
                 continue
             g = threshold_spectrum(
-                sigma, *ts1_s1_select_lambda(sigma, r, mu=0.99, a=1.0))
+                sigma, ts1_s1_select_lambda(sigma, r, mu=0.99, a=1.0))
             assert np.count_nonzero(g) == r
 
     def test_index_error(self):
@@ -112,7 +112,7 @@ class TestS2Selection:
 class TestThresholdRecord:
     def test_kernel_map_matches_the_scalar_prox(self):
         # Every record a policy can hand the kernel means the same map to
-        # threshold_spectrum (unpacked) and to the scalar prox.
+        # threshold_spectrum and to the scalar prox.
         rng = np.random.default_rng(5)
         boundaries = set()
         for trial in range(200):
@@ -125,7 +125,7 @@ class TestThresholdRecord:
                        ts1_s1_select_lambda(sigma, r, 0.99, a),
                        ts1_s2_select_params(sigma, r)]
             for th in records:
-                assert np.array_equal(threshold_spectrum(sigma, *th),
+                assert np.array_equal(threshold_spectrum(sigma, th),
                                       ts1_prox_scalar(sigma, th))
             boundaries.add(records[1].keep_boundary)
         assert boundaries == {False, True}

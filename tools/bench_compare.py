@@ -1,22 +1,27 @@
-"""Compare two BENCH_<TAG>.json records metric by metric.
+"""Compare BENCH_<TAG>.json records of a parent and a change, metric by metric.
 
-Run from anywhere:
+Run from anywhere, with N parent records followed by N change records:
 
-    python3 tools/bench_compare.py BENCH_OLD.json BENCH_NEW.json
+    python3 tools/bench_compare.py OLD.json NEW.json
+    python3 tools/bench_compare.py OLD_1.json ... OLD_N.json NEW_1.json ... NEW_N.json
 
 For each workload in BENCHMARK.json and each of its end-to-end metrics this
-prints the old and new untraced values, new/old and the metric's bound.  A
-metric is a regression when it is worse than the old value by more than its
-bound, taken as a share of the old value (``better: lower`` fails above
-old * (1 + bound), ``better: higher`` below old * (1 - bound)).  A workload
-also regresses when its run is no longer correct or a larger share of its
-operations failed.  Regressions and metrics missing from either record are
-marked, and any of them makes the exit status 1.
+prints the median of each side's untraced values, new/old of the medians and
+the metric's bound; with N > 1 it also prints each side's [min, max].  A
+metric is a regression when the change's median is worse than the parent's
+by more than its bound, taken as a share of the parent's median
+(``better: lower`` fails above old * (1 + bound), ``better: higher`` below
+old * (1 - bound)), and is also worse than every parent run, so that a
+change inside the parent's own run-to-run spread is not named.  A workload
+also regresses when a change run is not correct or the change's runs failed
+a larger share of their operations in total.  Regressions and metrics
+missing from any record are marked, and any of them makes the exit status 1.
 """
 
 import json
 import sys
 from pathlib import Path
+from statistics import median
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -28,52 +33,72 @@ def worse(better: str, old: float, new: float, bound: float) -> bool:
     return new < old * (1.0 - bound)
 
 
-def compare(manifest: dict, old: dict, new: dict) -> tuple[list[str], bool]:
-    """Table lines for the two records and whether any metric regressed."""
+def beyond_every_run(better: str, olds: list[float], new: float) -> bool:
+    """True when ``new`` is worse than each of ``olds``."""
+    return new > max(olds) if better == "lower" else new < min(olds)
+
+
+def compare(manifest: dict, old: list[dict], new: list[dict]
+            ) -> tuple[list[str], bool]:
+    """Table lines for the parent records ``old`` and the change records
+    ``new``, and whether any metric regressed."""
+    spread = len(old) > 1
     lines = [f"{'workload':<18} {'metric':<15} {'old':>11} {'new':>11} "
-             f"{'new/old':>8} {'bound':>6}"]
+             f"{'new/old':>8} {'bound':>6}"
+             + (f"  {'old [min, max]':<23} new [min, max]" if spread else "")]
     failed = False
     for workload in manifest["workloads"]:
         name = workload["name"]
-        runs = [record["workloads"].get(name, {}).get("untraced")
-                for record in (old, new)]
-        if None in runs:
+        runs = [[record["workloads"].get(name, {}).get("untraced")
+                 for record in side] for side in (old, new)]
+        if any(None in side for side in runs):
             lines.append(f"{name:<18} MISSING untraced run")
             failed = True
             continue
         for metric in manifest["end_to_end"]:
-            values = [run["metrics"].get(metric["name"], {}).get("value")
-                      for run in runs]
+            values = [[run["metrics"].get(metric["name"], {}).get("value")
+                       for run in side] for side in runs]
             row = f"{name:<18} {metric['name']:<15}"
-            if None in values:
+            if any(None in side for side in values):
                 lines.append(f"{row} MISSING")
                 failed = True
                 continue
-            a, b = values
+            a, b = (median(side) for side in values)
             ratio = f"{b / a:8.3f}" if a else f"{'n/a':>8}"
             line = f"{row} {a:11.4g} {b:11.4g} {ratio} {metric['bound']:6.2f}"
-            if worse(metric["better"], a, b, metric["bound"]):
+            if spread:
+                lo, hi = (f"[{min(side):.4g}, {max(side):.4g}]"
+                          for side in values)
+                line += f"  {lo:<23} {hi}"
+            if (worse(metric["better"], a, b, metric["bound"])
+                    and beyond_every_run(metric["better"], values[0], b)):
                 line += "  REGRESSION"
                 failed = True
             lines.append(line)
-        shares = [run["failed"] / max(run["attempted"], 1) for run in runs]
-        if not runs[1]["correct"] or shares[1] > shares[0]:
-            lines.append(f"{name:<18} correct={runs[1]['correct']} failed "
-                         f"{runs[0]['failed']}/{runs[0]['attempted']} -> "
-                         f"{runs[1]['failed']}/{runs[1]['attempted']}"
-                         "  REGRESSION")
+        (old_failed, old_tried), (new_failed, new_tried) = (
+            (sum(run["failed"] for run in side),
+             sum(run["attempted"] for run in side)) for side in runs)
+        correct = all(run["correct"] for run in runs[1])
+        if (not correct or new_failed / max(new_tried, 1)
+                > old_failed / max(old_tried, 1)):
+            lines.append(f"{name:<18} correct={correct} failed "
+                         f"{old_failed}/{old_tried} -> "
+                         f"{new_failed}/{new_tried}  REGRESSION")
             failed = True
     return lines, failed
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) != 2:
-        print("usage: bench_compare.py OLD.json NEW.json", file=sys.stderr)
+    if not argv or len(argv) % 2:
+        print("usage: bench_compare.py OLD.json [OLD.json ...] "
+              "NEW.json [NEW.json ...]  (as many NEW as OLD)", file=sys.stderr)
         return 2
     manifest = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    old, new = (json.loads(Path(p).read_text(encoding="utf-8")) for p in argv)
-    lines, failed = compare(manifest, old, new)
-    print(f"{old.get('tag', argv[0])} -> {new.get('tag', argv[1])}")
+    records = [json.loads(Path(p).read_text(encoding="utf-8")) for p in argv]
+    tags = [record.get("tag", path) for record, path in zip(records, argv)]
+    n = len(argv) // 2
+    lines, failed = compare(manifest, records[:n], records[n:])
+    print(f"{', '.join(tags[:n])} -> {', '.join(tags[n:])}")
     print("\n".join(lines))
     return 1 if failed else 0
 
