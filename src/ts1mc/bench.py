@@ -4,10 +4,11 @@ Every suite is the grid ranks x covs x noises x trials x solvers; the
 suite name only picks image truth (inpaint), the default rank estimate
 (table-rank-estimate) and the CLI's curve file (success-curve).  Trials
 derive their seeds from (suite seed, combo index, trial index), so records
-are reproducible and independent of execution order; the CLI builds its
-problems the same way.  Config keys and CSV columns are the field names of
-ExperimentSpec and ExperimentRecord.  Wall time is the only column outside
-the byte-level determinism guarantee.
+are reproducible and independent of execution order.  ``cells`` yields
+them in CSV row order; the CLI solves the first cell of a one-trial suite.
+Config keys and CSV columns are the field names of ExperimentSpec and
+ExperimentRecord.  Wall time is the only column outside the byte-level
+determinism guarantee.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import enum
 import itertools
 import math
 import time
+from collections.abc import Iterator
 from dataclasses import MISSING, dataclass, fields, replace
 from typing import get_args, get_origin, get_type_hints
 
@@ -35,7 +37,7 @@ __all__ = [
     "ExperimentRecord",
     "SuccessPoint",
     "run_suite",
-    "build_problem",
+    "cells",
     "solver_config",
     "aggregate_success",
     "emit_csv",
@@ -172,33 +174,28 @@ def solver_config(spec: ExperimentSpec, name: str, r: int,
                         lam=lam, tol=spec.tol, max_iters=spec.max_iters)
 
 
-def _combos(spec: ExperimentSpec) -> list[tuple[int, float, float]]:
-    return list(itertools.product(spec.ranks, spec.covs, spec.noises))
-
-
-def _image_truths(spec: ExperimentSpec) -> dict[int, GroundTruth]:
-    """An inpaint suite's truth per rank: the image is read once and
-    truncated once per rank, since the truth depends on nothing else."""
-    image = (synthetic_test_image(spec.m, spec.n)
-             if spec.image in (None, "synthetic") else read_pgm(spec.image))
-    return {r: image_to_lowrank_truth(image, r) for r in spec.ranks}
-
-
-def build_problem(spec: ExperimentSpec, combo_idx: int, trial: int,
-                  truths: dict[int, GroundTruth] | None = None
-                  ) -> tuple[GroundTruth, MaskedMatrix]:
-    """Clean truth and observed problem of one cell.  An inpaint suite's
-    ``truths``, built once by ``_image_truths``, may be passed in."""
-    r, cov, noise = _combos(spec)[combo_idx]
+def cells(spec: ExperimentSpec) -> Iterator[
+        tuple[tuple[int, float, float, int], GroundTruth, MaskedMatrix]]:
+    """Every (combo, trial) cell of the suite in CSV row order: its
+    (r, cov, noise, trial), clean truth and observed problem.  An inpaint
+    suite's truth depends only on the rank, so its image is read once and
+    truncated once per rank."""
     if spec.suite is Suite.INPAINT:
-        truth = (truths or _image_truths(replace(spec, ranks=(r,))))[r]
-    else:
-        truth = gen_gaussian_lowrank(
-            spec.m, spec.n, r, cov, _derive_seed(spec.seed, combo_idx, trial, 0))
-    noisy = add_noise(truth, noise, _derive_seed(spec.seed, combo_idx, trial, 1))
-    masked = sample_uniform(noisy, spec.sr,
-                            _derive_seed(spec.seed, combo_idx, trial, 2))
-    return truth, masked
+        image = (synthetic_test_image(spec.m, spec.n)
+                 if spec.image in (None, "synthetic") else read_pgm(spec.image))
+        truths = {r: image_to_lowrank_truth(image, r) for r in spec.ranks}
+    for combo_idx, (r, cov, noise) in enumerate(
+            itertools.product(spec.ranks, spec.covs, spec.noises)):
+        for trial in range(spec.trials):
+            key = (spec.seed, combo_idx, trial)
+            if spec.suite is Suite.INPAINT:
+                truth = truths[r]
+            else:
+                truth = gen_gaussian_lowrank(spec.m, spec.n, r, cov,
+                                             _derive_seed(*key, 0))
+            noisy = add_noise(truth, noise, _derive_seed(*key, 1))
+            masked = sample_uniform(noisy, spec.sr, _derive_seed(*key, 2))
+            yield (r, cov, noise, trial), truth, masked
 
 
 def _run_one(spec: ExperimentSpec, truth: GroundTruth, masked: MaskedMatrix,
@@ -226,22 +223,20 @@ def _run_one(spec: ExperimentSpec, truth: GroundTruth, masked: MaskedMatrix,
 
 
 def run_suite(spec: ExperimentSpec) -> list[ExperimentRecord]:
-    """Run every (combo, trial, solver) cell of the suite.
+    """Run every solver on every cell of the suite, in CSV row order.
 
     A setting no problem can use aborts the suite before the first solve;
     per-trial solver failures become rows with infinite error.  Records
     are deterministic given the spec (modulo the wall-time column).
     """
     configs = {(r, noise, name): solver_config(spec, name, r, noise)
-               for r, _, noise in _combos(spec) for name in spec.solvers}
-    truths = _image_truths(spec) if spec.suite is Suite.INPAINT else None
+               for r in spec.ranks for noise in spec.noises
+               for name in spec.solvers}
     records: list[ExperimentRecord] = []
-    for combo_idx, (r, cov, noise) in enumerate(_combos(spec)):
-        for trial in range(spec.trials):
-            truth, masked = build_problem(spec, combo_idx, trial, truths)
-            for name in spec.solvers:
-                records.append(_run_one(spec, truth, masked, trial, r, cov,
-                                        noise, configs[r, noise, name]))
+    for (r, cov, noise, trial), truth, masked in cells(spec):
+        for name in spec.solvers:
+            records.append(_run_one(spec, truth, masked, trial, r, cov, noise,
+                                    configs[r, noise, name]))
     return records
 
 

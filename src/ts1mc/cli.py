@@ -10,11 +10,11 @@ from dataclasses import fields, replace
 
 import numpy as np
 
-from .bench import (ExperimentSpec, Suite, aggregate_success, build_problem,
-                    emit_csv, load_config, run_suite, solver_config)
+from .bench import (ExperimentSpec, Suite, aggregate_success, cells, emit_csv,
+                    load_config, run_suite, solver_config)
 from .matrixio import read_matrix_csv, write_matrix_csv, write_pgm
 from .metrics import evaluate
-from .problems import MaskedMatrix, make_descriptors
+from .problems import MaskedMatrix, fr_display, make_descriptors
 from .sampling import SamplingOperator
 from .solvers import Algorithm, solve
 
@@ -106,7 +106,7 @@ def _solve(spec: ExperimentSpec, masked: MaskedMatrix, truth_matrix):
 
 def _cmd_gen(args) -> int:
     spec = _spec(args, Suite.SINGLE)
-    truth, masked = build_problem(spec, 0, 0)
+    _, truth, masked = next(cells(spec))
     write_matrix_csv(f"{args.out}.truth.csv", truth.matrix)
     observed = np.full(masked.shape, math.nan)
     observed.reshape(-1)[masked.op.flat] = masked.values
@@ -114,7 +114,8 @@ def _cmd_gen(args) -> int:
     d = masked.descriptors
     print(f"wrote {args.out}.truth.csv and {args.out}.observed.csv "
           f"(m={spec.m} n={spec.n} r={truth.rank} p={masked.p} "
-          f"SR={d.sr:.4f} FR={d.fr:.4f} r_m={d.r_m})")
+          f"SR={d.sr:.4f} FR={fr_display(truth.rank, *masked.shape, masked.p)} "
+          f"r_m={d.r_m})")
     return 0
 
 
@@ -149,7 +150,7 @@ def _cmd_solve(args) -> int:
             print("solve: --rank is required when generating a problem",
                   file=sys.stderr)
             return 1
-        truth, masked = build_problem(spec, 0, 0)
+        _, truth, masked = next(cells(spec))
         truth_matrix = truth.matrix
     report, met, wall = _solve(spec, masked, truth_matrix)
     extra = ""
@@ -186,7 +187,7 @@ def _cmd_inpaint(args) -> int:
         return 1
     # m, n only size the synthetic pattern; a PGM image brings its own.
     spec = _spec(args, Suite.INPAINT, m=128, n=128)
-    truth, masked = build_problem(spec, 0, 0)
+    _, truth, masked = next(cells(spec))
     report, met, wall = _solve(spec, masked, truth.matrix)
     print(f"solver={spec.solvers[0]} psnr={met.psnr:.2f}dB mse={met.mse:.3e} "
           f"rel.err={met.rel_err:.4e} iterations={report.iterations} "

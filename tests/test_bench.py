@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from ts1mc.bench import (CSV_COLUMNS, ExperimentRecord, ExperimentSpec, Suite,
-                         aggregate_success, default_nuclear_lam, emit_csv,
-                         load_config, read_csv, run_suite, solver_config)
-from ts1mc.matrixio import write_pgm
+                         aggregate_success, cells, default_nuclear_lam,
+                         emit_csv, load_config, read_csv, run_suite,
+                         solver_config)
+from ts1mc.cli import cli_main
+from ts1mc.matrixio import read_matrix_csv, write_pgm
 from ts1mc.problems import (gen_gaussian_lowrank, image_to_lowrank_truth,
                             synthetic_test_image)
 
@@ -191,6 +193,32 @@ class TestRunSuite:
             tiny_spec(solvers=("bogus",))
         with pytest.raises(ValueError):
             tiny_spec(ranks=())
+
+
+class TestCells:
+    def test_cells_are_the_suite_rows_in_order(self):
+        spec = tiny_spec(suite=Suite.TABLE_KNOWN_RANK, ranks=(2, 3),
+                         noises=(0.0, 0.01), trials=2,
+                         solvers=("ts1-s2", "nuclear"), max_iters=5)
+        records = run_suite(spec)
+        streamed = [cell for cell, _, _ in cells(spec)]
+        assert len(streamed) == 8
+        assert [(rec.r, rec.cov, rec.sigma_noise, rec.trial)
+                for rec in records[::len(spec.solvers)]] == streamed
+
+    def test_first_cell_is_the_problem_gen_writes(self, tmp_path):
+        prefix = str(tmp_path / "prob")
+        assert cli_main(["gen", "--m", "30", "--n", "20", "--rank", "2",
+                         "--sr", "0.5", "--seed", "17", "--out", prefix]) == 0
+        cell, truth, masked = next(cells(ExperimentSpec(
+            suite=Suite.SINGLE, m=30, n=20, ranks=(2,), sr=0.5, seed=17)))
+        assert cell == (2, 0.0, 0.0, 0)
+        assert np.array_equal(read_matrix_csv(prefix + ".truth.csv"),
+                              truth.matrix)
+        observed = read_matrix_csv(prefix + ".observed.csv").reshape(-1)
+        assert np.array_equal(np.flatnonzero(~np.isnan(observed)),
+                              masked.op.flat)
+        assert np.array_equal(observed[masked.op.flat], masked.values)
 
 
 class TestSuccessAggregation:

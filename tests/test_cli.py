@@ -25,6 +25,12 @@ class TestGenSolve:
         err = np.linalg.norm(recovered - truth) / np.linalg.norm(truth)
         assert err < 5e-3
 
+    def test_gen_prints_fr_truncated(self, tmp_path, capsys):
+        # FR = 3 * 77 / 800 = 0.28875: truncated, as the paper's tables show
+        assert cli_main(["gen", "--m", "40", "--n", "40", "--rank", "3",
+                         "--sr", "0.5", "--out", str(tmp_path / "prob")]) == 0
+        assert "FR=0.2887 " in capsys.readouterr().out
+
     def test_solve_generates_when_no_input(self, capsys):
         assert cli_main(["solve", "--m", "30", "--n", "30", "--rank", "2",
                          "--sr", "0.5", "--seed", "3"]) == 0

@@ -9,10 +9,11 @@ For each workload in BENCHMARK.json this runs the manifest's command
 with ``--trace 1``, at seed 0.  It writes the ``env`` line (machine,
 versions, BLAS threads, source digest) and each run's final JSON line to
 ``BENCH_<TAG>.json`` at the repository root.  ``src_clean`` records whether
-``src/`` and ``perfbench/`` match the commit that ``env.git_commit`` names;
-when it is false, only ``env.src_sha256`` identifies the measured source.
-It changes nothing under ``perfbench/``; a run that exits non-zero stops
-the recording.
+``src/`` and ``perfbench/`` match the commit that ``env.git_commit`` names.
+It is null when git cannot answer, as in a tree exported with ``git
+archive``.  When it is not true, only ``env.src_sha256`` identifies the
+measured source.  It changes nothing under ``perfbench/``; a run that
+exits non-zero stops the recording.
 """
 
 import json
@@ -41,11 +42,15 @@ def run(command: list[str], workload: str, seconds: float,
     return env, json.loads(lines[-1])
 
 
-def src_clean() -> bool:
-    """True when git sees no change under src/ or perfbench/."""
-    status = subprocess.run(
-        ["git", "status", "--porcelain", "--", "src", "perfbench"],
-        cwd=ROOT, capture_output=True, text=True, check=True)
+def src_clean() -> bool | None:
+    """True when git sees no change under src/ or perfbench/, None when
+    git cannot answer (the tree is not a work tree, or git is missing)."""
+    try:
+        status = subprocess.run(
+            ["git", "status", "--porcelain", "--", "src", "perfbench"],
+            cwd=ROOT, capture_output=True, text=True, check=True)
+    except (OSError, subprocess.CalledProcessError):
+        return None
     return status.stdout == ""
 
 
