@@ -89,6 +89,21 @@ class ExperimentSpec:
             raise ValueError("parameter lists must be nonempty")
         for name in self.solvers:
             Algorithm(name)  # raises on unknown solver
+        # A grid value no cell's generator accepts fails here, with its
+        # message; an inpaint image's shape is known once it is read.
+        if not 0.0 < self.sr <= 1.0:
+            raise ValueError(f"sampling ratio must lie in (0, 1], got {self.sr}")
+        for cov in self.covs:
+            if not 0.0 <= cov < 1.0:
+                raise ValueError(f"cov must lie in [0, 1), got {cov}")
+        for s in self.noises:
+            if not (math.isfinite(s) and s >= 0):
+                raise ValueError(f"noise level must be finite and nonnegative, got {s}")
+        top = math.inf if self.suite is Suite.INPAINT else min(self.m, self.n)
+        for r in self.ranks:
+            if not 1 <= r <= top:
+                dims = "" if top == math.inf else f" for dims {(self.m, self.n)}"
+                raise ValueError(f"rank r={r} out of range{dims}")
 
 
 @dataclass(frozen=True)
@@ -225,9 +240,11 @@ def _run_one(spec: ExperimentSpec, truth: GroundTruth, masked: MaskedMatrix,
 def run_suite(spec: ExperimentSpec) -> list[ExperimentRecord]:
     """Run every solver on every cell of the suite, in CSV row order.
 
-    A setting no problem can use aborts the suite before the first solve;
-    per-trial solver failures become rows with infinite error.  Records
-    are deterministic given the spec (modulo the wall-time column).
+    A setting no problem can use aborts the suite before the first solve:
+    the spec rejects a bad grid value when built, and every cell's solver
+    settings are built first.  Per-trial solver failures become rows with
+    infinite error.  Records are deterministic given the spec (modulo the
+    wall-time column).
     """
     configs = {(r, noise, name): solver_config(spec, name, r, noise)
                for r in spec.ranks for noise in spec.noises

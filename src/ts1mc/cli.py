@@ -6,12 +6,14 @@ import argparse
 import math
 import sys
 import time
-from dataclasses import fields, replace
+from dataclasses import replace
+from typing import get_args, get_type_hints
 
 import numpy as np
 
 from .bench import (ExperimentSpec, Suite, aggregate_success, cells, emit_csv,
                     load_config, run_suite, solver_config)
+from .matrix import singular_values
 from .matrixio import read_matrix_csv, write_matrix_csv, write_pgm
 from .metrics import evaluate
 from .problems import MaskedMatrix, fr_display, make_descriptors
@@ -19,32 +21,32 @@ from .sampling import SamplingOperator
 from .solvers import Algorithm, solve
 
 
-# Flags named after an ExperimentSpec field have no default: an unset flag
-# keeps the field's.  These flags give the one value of a tuple field.
+# Each problem and solver flag is named after an ExperimentSpec field, or
+# after the one value of a grid field, and typed by that field.  It has no
+# default: an unset flag keeps the field's.
 _GRID_FLAGS = {"rank": "ranks", "cov": "covs", "noise": "noises", "solver": "solvers"}
-_SPEC_FIELDS = {f.name for f in fields(ExperimentSpec)}
+_SPEC_TYPES = get_type_hints(ExperimentSpec)
+_PROBLEM_FLAGS = ("m", "n", "sr", "cov", "noise", "seed")
+_SOLVER_FLAGS = ("solver", "rank", "rank_estimate", "r_min", "mu", "a", "lam",
+                 "tol", "max_iters")
+_FLAG_OPTIONS = {
+    "solver": {"choices": [a.value for a in Algorithm]},
+    "rank": {"help": "known rank r"},
+    "rank_estimate": {"metavar": "K",
+                      "help": "overestimated initial rank (enables estimation)"},
+    "image": {"help": "PGM path, or 'synthetic' (the default) for the "
+                      "built-in pattern"},
+}
 
 
-def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--solver", choices=[a.value for a in Algorithm])
-    p.add_argument("--rank", type=int, help="known rank r")
-    p.add_argument("--rank-estimate", type=int, metavar="K",
-                   help="overestimated initial rank (enables estimation)")
-    p.add_argument("--r-min", type=int)
-    p.add_argument("--mu", type=float)
-    p.add_argument("--a", type=float)
-    p.add_argument("--lam", type=float)
-    p.add_argument("--tol", type=float)
-    p.add_argument("--max-iters", type=int)
-
-
-def _add_gen_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--m", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--sr", type=float)
-    p.add_argument("--cov", type=float)
-    p.add_argument("--noise", type=float)
-    p.add_argument("--seed", type=int)
+def _add_spec_flags(p: argparse.ArgumentParser, names, **options) -> None:
+    """``--name`` for each name, typed by its field's element type: int for
+    ``int``, ``int | None`` and ``tuple[int, ...]``."""
+    for name in names:
+        kind = _SPEC_TYPES[_GRID_FLAGS.get(name, name)]
+        p.add_argument(f"--{name.replace('_', '-')}",
+                       type=(get_args(kind) or (kind,))[0],
+                       **{**_FLAG_OPTIONS.get(name, {}), **options})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -54,13 +56,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a problem and write it to CSV files")
-    _add_gen_flags(p)
-    p.add_argument("--rank", type=int, required=True)
+    _add_spec_flags(p, _PROBLEM_FLAGS)
+    _add_spec_flags(p, ["rank"], required=True)
     p.add_argument("--out", required=True, metavar="PREFIX")
 
     p = sub.add_parser("solve", help="solve one problem and print metrics")
-    _add_gen_flags(p)
-    _add_solver_flags(p)
+    _add_spec_flags(p, _PROBLEM_FLAGS + _SOLVER_FLAGS)
     p.add_argument("--in", dest="input_prefix", metavar="PREFIX",
                    help="problem files written by gen (otherwise generate)")
     p.add_argument("--out", help="write the recovered matrix to this CSV")
@@ -70,29 +71,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--full", action="store_true",
                    help="use the full-scale trial count from the config")
-    p.add_argument("--seed", type=int, help="override the config seed")
+    _add_spec_flags(p, ["seed"], help="override the config seed")
 
     p = sub.add_parser("inpaint", help="image inpainting pipeline")
-    p.add_argument("--image", help="PGM path, or 'synthetic' (the default) "
-                   "for the built-in pattern")
-    p.add_argument("--sr", type=float)
-    p.add_argument("--noise", type=float)
-    p.add_argument("--seed", type=int)
-    _add_solver_flags(p)
+    _add_spec_flags(p, ("image", "sr", "noise", "seed") + _SOLVER_FLAGS)
     p.add_argument("--out", metavar="PREFIX",
                    help="write PREFIX.recovered.pgm and PREFIX.observed.pgm")
     return parser
 
 
 def _spec(args, suite: Suite, **fixed) -> ExperimentSpec:
-    """One-trial suite whose first cell is the problem the set flags describe."""
+    """One-trial suite whose first cell is the problem the set flags
+    describe; ``fixed`` fields override the flags."""
     values = {}
     for name, value in vars(args).items():
         if name in _GRID_FLAGS and value is not None:
             name, value = _GRID_FLAGS[name], (value,)
-        if name in _SPEC_FIELDS and value is not None:
+        if name in _SPEC_TYPES and value is not None:
             values[name] = value
-    return ExperimentSpec(suite=suite, trials=1, **values, **fixed)
+    return ExperimentSpec(**{**values, "suite": suite, "trials": 1, **fixed})
 
 
 def _solve(spec: ExperimentSpec, masked: MaskedMatrix, truth_matrix):
@@ -122,8 +119,8 @@ def _cmd_gen(args) -> int:
 def _load_problem(prefix: str, rank: int | None):
     """Problem files written by gen: (rank, truth, problem).
 
-    Without ``rank`` the truth's numerical rank is used, as bench would.
-    """
+    Without ``rank`` the truth's numerical rank is used, as bench would:
+    its count of singular values above sigma_1 * max(m, n) * eps."""
     truth_matrix = read_matrix_csv(f"{prefix}.truth.csv")
     observed = read_matrix_csv(f"{prefix}.observed.csv")
     if truth_matrix.shape != observed.shape:
@@ -133,7 +130,9 @@ def _load_problem(prefix: str, rank: int | None):
     if not np.all(np.isfinite(truth_matrix)):
         raise ValueError(f"{prefix}.truth.csv holds a non-finite value")
     if rank is None:
-        rank = int(np.linalg.matrix_rank(truth_matrix))
+        sigma = singular_values(truth_matrix)
+        rank = int(np.count_nonzero(
+            sigma > sigma[0] * max(truth_matrix.shape) * np.finfo(float).eps))
     op = SamplingOperator(observed.shape, np.flatnonzero(~np.isnan(observed)))
     return rank, truth_matrix, MaskedMatrix(
         op=op, values=op.apply(observed),
@@ -141,11 +140,12 @@ def _load_problem(prefix: str, rank: int | None):
 
 
 def _cmd_solve(args) -> int:
-    spec = _spec(args, Suite.SINGLE)
     if args.input_prefix:
         r, truth_matrix, masked = _load_problem(args.input_prefix, args.rank)
-        spec = replace(spec, ranks=(r,))
+        spec = _spec(args, Suite.SINGLE, ranks=(r,), m=masked.shape[0],
+                     n=masked.shape[1])
     else:
+        spec = _spec(args, Suite.SINGLE)
         if args.rank is None:
             print("solve: --rank is required when generating a problem",
                   file=sys.stderr)

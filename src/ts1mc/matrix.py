@@ -180,9 +180,6 @@ def ts1_penalty(sigma, a: float) -> float:
     a : float
         Positive shape parameter.
     """
-    sigma = np.asarray(sigma, dtype=float)
-    if np.any(sigma < 0):
-        raise ValueError("singular values must be nonnegative")
     return float(np.sum(rho_a(sigma, a)))
 
 

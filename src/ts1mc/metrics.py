@@ -1,4 +1,4 @@
-"""Recovery quality: relative error, MSE and evaluate's PSNR at peak 1."""
+"""Recovery quality: relative error, MSE and PSNR at peak 1, from evaluate."""
 
 from __future__ import annotations
 
@@ -10,8 +10,6 @@ import numpy as np
 __all__ = [
     "SUCCESS_REL_ERR",
     "RecoveryMetrics",
-    "relative_error",
-    "mse",
     "evaluate",
 ]
 
@@ -27,8 +25,11 @@ class RecoveryMetrics:
     success: bool
 
 
-def relative_error(x_opt: np.ndarray, m_truth: np.ndarray) -> float:
-    """||X - M||_F / ||M||_F."""
+def evaluate(x_opt: np.ndarray, m_truth: np.ndarray) -> RecoveryMetrics:
+    """Every measure of a recovery X of M: ||X - M||_F / ||M||_F, the mean
+    squared entrywise error, and PSNR = 10 log10(1 / mse), +inf when exact
+    and -inf when the squared error overflows.  A zero M has no relative
+    error and raises ``ValueError``, as do mismatched shapes."""
     x_opt = np.asarray(x_opt, dtype=float)
     m_truth = np.asarray(m_truth, dtype=float)
     if x_opt.shape != m_truth.shape:
@@ -36,23 +37,9 @@ def relative_error(x_opt: np.ndarray, m_truth: np.ndarray) -> float:
     denom = np.linalg.norm(m_truth)
     if denom == 0.0:
         raise ValueError("reference matrix is zero; relative error undefined")
-    return float(np.linalg.norm(x_opt - m_truth) / denom)
-
-
-def mse(x_opt: np.ndarray, m_truth: np.ndarray) -> float:
-    """Mean squared entrywise error."""
-    x_opt = np.asarray(x_opt, dtype=float)
-    m_truth = np.asarray(m_truth, dtype=float)
-    if x_opt.shape != m_truth.shape:
-        raise ValueError(f"shape mismatch: {x_opt.shape} vs {m_truth.shape}")
-    return float(np.mean((x_opt - m_truth) ** 2))
-
-
-def evaluate(x_opt: np.ndarray, m_truth: np.ndarray) -> RecoveryMetrics:
-    """All measures at once; PSNR is 10 log10(1 / mse), +inf when exact and
-    -inf when the squared error overflows."""
-    rel = relative_error(x_opt, m_truth)
-    err = mse(x_opt, m_truth)
+    diff = x_opt - m_truth
+    rel = float(np.linalg.norm(diff) / denom)
+    err = float(np.mean(diff ** 2))
     if err == 0.0:
         psnr = math.inf
     elif err == math.inf:

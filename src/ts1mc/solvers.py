@@ -320,10 +320,8 @@ def resolve_a(config: SolverConfig, problem: MaskedMatrix) -> float:
     if config.a is not None:
         return config.a
     if isinstance(config.rank, RankEstimate):
-        fr = problem.descriptors.fr if problem.descriptors is not None else None
-        if fr is None:
-            return 10.0
-        return 1000.0 if fr < 0.6 else 10.0
+        d = problem.descriptors
+        return 1000.0 if d is not None and d.fr < 0.6 else 10.0
     return KNOWN_RANK_DEFAULT_A
 
 

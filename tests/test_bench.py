@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -193,6 +194,50 @@ class TestRunSuite:
             tiny_spec(solvers=("bogus",))
         with pytest.raises(ValueError):
             tiny_spec(ranks=())
+
+    # A grid value no generator accepts, after good ones: a check made only
+    # when its cell is built would solve the earlier cells first.
+    BAD_GRIDS = [("ranks", (5, 200), "rank r=200 out of range for dims (100, 100)"),
+                 ("ranks", (5, 0), "rank r=0 out of range"),
+                 ("covs", (0.0, 1.0), "cov must lie in [0, 1), got 1.0"),
+                 ("noises", (0.0, -0.1), "noise level must be finite and "
+                                         "nonnegative, got -0.1"),
+                 ("noises", (0.0, math.inf), "noise level must be finite"),
+                 ("sr", 0.0, "sampling ratio must lie in (0, 1], got 0.0"),
+                 ("sr", 1.5, "sampling ratio must lie in (0, 1], got 1.5")]
+    BAD_IDS = ["rank-above-dims", "rank-zero", "cov-one", "noise-negative",
+               "noise-inf", "sr-zero", "sr-above-one"]
+
+    @pytest.mark.parametrize("key, value, message", BAD_GRIDS, ids=BAD_IDS)
+    def test_bad_grid_value_rejected_when_built(self, key, value, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ExperimentSpec(suite=Suite.TABLE_KNOWN_RANK, trials=2,
+                           **{key: value})
+
+    @pytest.mark.parametrize("key, value, message", BAD_GRIDS, ids=BAD_IDS)
+    def test_bench_exits_on_a_bad_grid_before_solving(
+            self, tmp_path, capsys, monkeypatch, key, value, message):
+        monkeypatch.setattr("ts1mc.bench.solve",
+                            lambda *args: pytest.fail("solved a cell"))
+        text = " ".join(map(str, value)) if isinstance(value, tuple) else value
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("[experiment]\nsuite = table-known-rank\n"
+                       f"trials = 2\n{key} = {text}\n")
+        out = tmp_path / "records.csv"
+        assert cli_main(["bench", "--config", str(cfg), "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_inpaint_rank_is_bounded_by_the_image_it_reads(self, tmp_path):
+        # m and n only size the synthetic pattern, so only r >= 1 is known
+        # before the image is read
+        image = tmp_path / "wide.pgm"
+        write_pgm(image, synthetic_test_image(32, 200))
+        spec = ExperimentSpec(suite=Suite.INPAINT, image=str(image), m=10,
+                              n=10, ranks=(20,), trials=1, max_iters=2)
+        assert run_suite(spec)[0].r == 20
+        with pytest.raises(ValueError, match="rank r=0 out of range"):
+            replace(spec, ranks=(0,))
 
 
 class TestCells:

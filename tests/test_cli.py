@@ -1,8 +1,11 @@
+import argparse
+from typing import get_args, get_type_hints
+
 import numpy as np
 import pytest
 
 from ts1mc.bench import CSV_COLUMNS, ExperimentSpec, Suite, read_csv
-from ts1mc.cli import _spec, build_parser, cli_main
+from ts1mc.cli import _load_problem, _spec, build_parser, cli_main
 from ts1mc.matrixio import read_matrix_csv, read_pgm, write_matrix_csv, write_pgm
 from ts1mc.problems import synthetic_test_image
 
@@ -186,6 +189,70 @@ class TestFlagsAndSpec:
             Suite.SINGLE, m=30, n=20, ranks=(3,), sr=0.5, covs=(0.2,),
             noises=(0.1,), trials=1, solvers=("ts1-s1",), seed=4, mu=0.9,
             tol=1e-5, max_iters=7, a=2.0, lam=0.1, rank_estimate=6, r_min=2)
+
+    # Every option named after a spec field, or after the one value of a
+    # grid field, is typed by that field.
+    GRID = {"rank": "ranks", "cov": "covs", "noise": "noises",
+            "solver": "solvers"}
+    REQUIRED = {"gen": ["--rank", "2", "--out", "p"],
+                "bench": ["--config", "c.cfg", "--out", "o.csv"]}
+    SAMPLES = {int: "3", float: "0.25", str: "ts1-s1"}
+
+    @staticmethod
+    def _spec_options(command):
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        hints = get_type_hints(ExperimentSpec)
+        for action in sub.choices[command]._actions:
+            field = TestFlagsAndSpec.GRID.get(action.dest, action.dest)
+            if field in hints:
+                kind = hints[field]
+                yield action, (get_args(kind) or (kind,))[0]
+
+    @pytest.mark.parametrize("command", ["gen", "solve", "inpaint", "bench"])
+    def test_spec_options_parse_to_the_field_type(self, command):
+        options = list(self._spec_options(command))
+        assert options
+        for action, kind in options:
+            args = build_parser().parse_args(
+                [command, *self.REQUIRED.get(command, []),
+                 action.option_strings[0], self.SAMPLES[kind]])
+            value = getattr(args, action.dest)
+            assert type(value) is kind and value == kind(self.SAMPLES[kind])
+
+    # solve's is test_unset_flags_keep_the_spec_defaults
+    @pytest.mark.parametrize("command, suite, fixed", [
+        ("gen", Suite.SINGLE, {"ranks": (2,)}),
+        ("inpaint", Suite.INPAINT, {"m": 128, "n": 128})])
+    def test_unset_options_keep_the_field_defaults(self, command, suite, fixed):
+        args = build_parser().parse_args([command, *self.REQUIRED.get(command, [])])
+        assert _spec(args, suite, **fixed) == ExperimentSpec(
+            suite, trials=1, **fixed)
+
+    def test_bench_seed_unset_keeps_the_config_seed(self):
+        args = build_parser().parse_args(["bench", *self.REQUIRED["bench"]])
+        assert args.seed is None
+
+    def test_gen_rank_required_and_solver_choices(self, capsys):
+        assert cli_main(["gen", "--out", "p"]) == 2
+        assert "--rank" in capsys.readouterr().err
+        for command in ("solve", "inpaint"):
+            (solver,) = [a for a, _ in self._spec_options(command)
+                         if a.dest == "solver"]
+            assert solver.choices == ["ts1-it", "ts1-s1", "ts1-s2", "nuclear"]
+
+
+class TestInferredRank:
+    # solve --in without --rank counts the truth's singular values above
+    # sigma_1 * max(m, n) * eps, numpy's matrix_rank rule
+    @pytest.mark.parametrize("cov", [0.0, 0.7, 0.95])
+    @pytest.mark.parametrize("rank", [1, 19])
+    def test_matches_numpy_matrix_rank(self, tmp_path, capsys, cov, rank):
+        prefix = str(tmp_path / "prob")
+        assert cli_main(["gen", "--m", "30", "--n", "20", "--rank", str(rank),
+                         "--cov", str(cov), "--seed", "3", "--out", prefix]) == 0
+        inferred, truth, _ = _load_problem(prefix, None)
+        assert inferred == np.linalg.matrix_rank(truth) == rank
 
 
 class TestBench:

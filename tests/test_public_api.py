@@ -5,7 +5,7 @@ there is public without a second list to keep in step; a module lists only
 the names it defines, so each public name has one owner.  The benchmark's
 tracer wraps functions by the module-level names their callers look up; a
 rename would silently drop its per-layer metrics, so every target must
-resolve.
+resolve.  Every SVD goes through ``ts1mc.matrix``, the one spectral backend.
 """
 
 import ast
@@ -75,3 +75,32 @@ def test_every_parameter_is_read():
     unread = [u for path in sorted(src.glob("*.py"))
               for u in _unread_parameters(path)]
     assert unread == []
+
+
+SPECTRAL = {"svd", "matrix_rank", "pinv", "lstsq"}
+
+
+def _numpy_spectral_calls(path: Path) -> list[str]:
+    """``module:line name`` for each use of numpy's SVD-based routines."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if (isinstance(node, ast.Attribute) and node.attr in SPECTRAL
+                and isinstance(node.value, ast.Attribute)
+                and node.value.attr == "linalg"
+                and isinstance(node.value.value, ast.Name)
+                and node.value.value.id in ("np", "numpy")):
+            found.append(f"{path.stem}:{node.lineno} {node.attr}")
+        elif (isinstance(node, ast.ImportFrom)
+              and node.module == "numpy.linalg"):
+            found += [f"{path.stem}:{node.lineno} {a.name}"
+                      for a in node.names if a.name in SPECTRAL]
+    return found
+
+
+def test_matrix_takes_every_svd():
+    # numpy's SVD is another LAPACK build, whose values can differ from
+    # matrix's in the last bits
+    src = Path(ts1mc.__file__).resolve().parent
+    found = [use for path in sorted(src.glob("*.py")) if path.stem != "matrix"
+             for use in _numpy_spectral_calls(path)]
+    assert found == []
