@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 import time
 from dataclasses import replace
@@ -56,8 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a problem and write it to CSV files")
-    _add_spec_flags(p, _PROBLEM_FLAGS)
-    _add_spec_flags(p, ["rank"], required=True)
+    _add_spec_flags(p, _PROBLEM_FLAGS + ("rank",))
     p.add_argument("--out", required=True, metavar="PREFIX")
 
     p = sub.add_parser("solve", help="solve one problem and print metrics")
@@ -92,6 +90,15 @@ def _spec(args, suite: Suite, **fixed) -> ExperimentSpec:
     return ExperimentSpec(**{**values, "suite": suite, "trials": 1, **fixed})
 
 
+def _problem(args, suite: Suite, **fixed):
+    """``_spec(args, suite, **fixed)``, its first truth matrix and problem."""
+    if args.rank is None:
+        raise ValueError("--rank is required")
+    spec = _spec(args, suite, **fixed)
+    _, truth, masked = next(cells(spec))
+    return spec, truth.matrix, masked
+
+
 def _solve(spec: ExperimentSpec, masked: MaskedMatrix, truth_matrix):
     """Solve the spec's first cell: (report, metrics, seconds)."""
     config = solver_config(spec, spec.solvers[0], spec.ranks[0], spec.noises[0])
@@ -102,16 +109,15 @@ def _solve(spec: ExperimentSpec, masked: MaskedMatrix, truth_matrix):
 
 
 def _cmd_gen(args) -> int:
-    spec = _spec(args, Suite.SINGLE)
-    _, truth, masked = next(cells(spec))
-    write_matrix_csv(f"{args.out}.truth.csv", truth.matrix)
-    observed = np.full(masked.shape, math.nan)
+    spec, truth_matrix, masked = _problem(args, Suite.SINGLE)
+    write_matrix_csv(f"{args.out}.truth.csv", truth_matrix)
+    observed = np.full(masked.shape, np.nan)
     observed.reshape(-1)[masked.op.flat] = masked.values
     write_matrix_csv(f"{args.out}.observed.csv", observed)
     d = masked.descriptors
     print(f"wrote {args.out}.truth.csv and {args.out}.observed.csv "
-          f"(m={spec.m} n={spec.n} r={truth.rank} p={masked.p} "
-          f"SR={d.sr:.4f} FR={fr_display(truth.rank, *masked.shape, masked.p)} "
+          f"(m={spec.m} n={spec.n} r={spec.ranks[0]} p={masked.p} "
+          f"SR={d.sr:.4f} FR={fr_display(spec.ranks[0], *masked.shape, masked.p)} "
           f"r_m={d.r_m})")
     return 0
 
@@ -141,21 +147,19 @@ def _load_problem(prefix: str, rank: int | None):
 
 def _cmd_solve(args) -> int:
     if args.input_prefix:
+        # the files fix the problem; --noise only sets nuclear's default lam
+        given = [f"--{name}" for name in ("m", "n", "sr", "cov", "seed")
+                 if getattr(args, name) is not None]
+        if given:
+            raise ValueError(f"{', '.join(given)} cannot be set with --in")
         r, truth_matrix, masked = _load_problem(args.input_prefix, args.rank)
         spec = _spec(args, Suite.SINGLE, ranks=(r,), m=masked.shape[0],
                      n=masked.shape[1])
     else:
-        spec = _spec(args, Suite.SINGLE)
-        if args.rank is None:
-            print("solve: --rank is required when generating a problem",
-                  file=sys.stderr)
-            return 1
-        _, truth, masked = next(cells(spec))
-        truth_matrix = truth.matrix
+        spec, truth_matrix, masked = _problem(args, Suite.SINGLE)
     report, met, wall = _solve(spec, masked, truth_matrix)
-    extra = ""
-    if report.rank_estimate is not None:
-        extra = f" rank_est={report.rank_estimate}"
+    estimated = spec.rank_estimate is not None and report.rank_estimate is not None
+    extra = f" rank_est={report.rank_estimate}" if estimated else ""
     print(f"solver={spec.solvers[0]} rel.err={met.rel_err:.6e} "
           f"iterations={report.iterations} converged={report.converged}"
           f"{extra} time={wall:.2f}s")
@@ -182,13 +186,9 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_inpaint(args) -> int:
-    if args.rank is None:
-        print("inpaint: --rank is required", file=sys.stderr)
-        return 1
     # m, n only size the synthetic pattern; a PGM image brings its own.
-    spec = _spec(args, Suite.INPAINT, m=128, n=128)
-    _, truth, masked = next(cells(spec))
-    report, met, wall = _solve(spec, masked, truth.matrix)
+    spec, truth_matrix, masked = _problem(args, Suite.INPAINT, m=128, n=128)
+    report, met, wall = _solve(spec, masked, truth_matrix)
     print(f"solver={spec.solvers[0]} psnr={met.psnr:.2f}dB mse={met.mse:.3e} "
           f"rel.err={met.rel_err:.4e} iterations={report.iterations} "
           f"time={wall:.2f}s")
@@ -202,9 +202,8 @@ def _cmd_inpaint(args) -> int:
 
 
 def cli_main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     handlers = {"gen": _cmd_gen, "solve": _cmd_solve,

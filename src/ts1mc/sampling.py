@@ -50,9 +50,10 @@ class SamplingOperator:
         flat = flat.astype(np.intp)
         flat.flags.writeable = False
         object.__setattr__(self, "flat", flat)
-        if flat.min() < 0 or flat.max() >= m * n:
+        ordered = np.sort(flat)
+        if ordered[0] < 0 or ordered[-1] >= m * n:
             raise ValueError(f"observation indices out of bounds [0, {m * n})")
-        if np.unique(flat).size != flat.size:
+        if np.any(ordered[1:] == ordered[:-1]):
             raise ValueError("duplicate observation indices")
 
     @property

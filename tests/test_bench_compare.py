@@ -29,13 +29,14 @@ def record(tag: str, **values) -> dict:
     return out
 
 
-def run_records(tmp_path, records: list[dict], capsys) -> tuple[int, list[str]]:
+def run_records(tmp_path, records: list[dict], capsys,
+                options=()) -> tuple[int, list[str]]:
     paths = []
     for rec in records:
         path = tmp_path / f"BENCH_{rec['tag']}.json"
         path.write_text(json.dumps(rec), encoding="utf-8")
         paths.append(str(path))
-    code = bench_compare.main(paths)
+    code = bench_compare.main([*options, *paths])
     return code, capsys.readouterr().out.splitlines()
 
 
@@ -136,3 +137,59 @@ def test_odd_or_no_file_count_is_a_usage_error(tmp_path, capsys, count):
     assert bench_compare.main(paths) == 2
     out = capsys.readouterr()
     assert out.out == "" and out.err.startswith("usage:")
+
+
+def run_claim(tmp_path, capsys, parent, change, metric="wall_s"):
+    records = ([record(f"p{i}", **{metric: v}) for i, v in enumerate(parent)]
+               + [record(f"c{i}", **{metric: v}) for i, v in enumerate(change)])
+    code, lines = run_records(tmp_path, records, capsys,
+                              ["--claim", metric, WORKLOADS[0]])
+    return code, lines[-1]
+
+
+PARENT = [10.0, 11.0, 12.0, 13.0, 14.0, 15.0, 16.0, 17.0, 18.0, 19.0]
+
+
+def test_claim_met_by_nine_of_ten_pairs_and_a_gap_beyond_the_parent_iqr(
+        tmp_path, capsys):
+    # one pair is a tie, which counts for neither side: 9/10 wins
+    change = [v - 8.0 for v in PARENT[:-1]] + [PARENT[-1]]
+    code, line = run_claim(tmp_path, capsys, PARENT, change)
+    assert code == 0
+    # parent quartiles 12.25 and 16.75 (numpy.percentile's linear rule)
+    assert line == (f"claim {WORKLOADS[0]} wall_s (lower is better): change "
+                    "better in 9/10 pairs; old median 14.5 [12.25, 16.75], "
+                    "new median 6.5 [4.25, 8.75]: met")
+
+
+@pytest.mark.parametrize("parent, change, missed", [
+    # PR-20-like: the medians fall, yet the change wins only 8 of 10 pairs
+    (PARENT, [v - 8.0 for v in PARENT[:8]] + [25.0, 25.0], "8/10 wins < 9/10"),
+    (PARENT[:9], [v - 8.0 for v in PARENT[:9]], "9 pairs < 10"),
+    # every pair won, but by less than the parent's own spread
+    (PARENT, [v - 1.0 for v in PARENT], "median gap 1 <= parent IQR 4.5")],
+    ids=["wins", "pairs", "gap"])
+def test_claim_not_met_exits_1_and_says_why(tmp_path, capsys, parent, change,
+                                            missed):
+    code, line = run_claim(tmp_path, capsys, parent, change)
+    assert code == 1
+    assert line.endswith(f": NOT MET ({missed})")
+
+
+def test_claim_on_a_higher_is_better_metric(tmp_path, capsys):
+    code, line = run_claim(tmp_path, capsys, PARENT, [v + 8.0 for v in PARENT],
+                           metric="psnr_db_median")
+    assert code == 0
+    assert "(higher is better): change better in 10/10 pairs" in line
+    code, line = run_claim(tmp_path, capsys, PARENT, [v - 8.0 for v in PARENT],
+                           metric="psnr_db_median")
+    assert code == 1
+    assert "0/10 wins < 9/10; median gap -8 <= parent IQR 4.5" in line
+
+
+@pytest.mark.parametrize("args", [
+    ["--claim"], ["--claim", "wall_s"], ["--claim", "no_such_metric", WORKLOADS[0]],
+    ["--claim", "wall_s", "no-such-workload"]])
+def test_claim_needs_a_known_metric_and_workload(capsys, args):
+    assert bench_compare.main([*args, "a.json", "b.json"]) == 2
+    assert capsys.readouterr().err.startswith("usage:")

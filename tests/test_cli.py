@@ -4,7 +4,8 @@ from typing import get_args, get_type_hints
 import numpy as np
 import pytest
 
-from ts1mc.bench import CSV_COLUMNS, ExperimentSpec, Suite, read_csv
+from ts1mc.bench import (CSV_COLUMNS, ExperimentSpec, Suite, default_nuclear_lam,
+                         read_csv)
 from ts1mc.cli import _load_problem, _spec, build_parser, cli_main
 from ts1mc.matrixio import read_matrix_csv, read_pgm, write_matrix_csv, write_pgm
 from ts1mc.problems import synthetic_test_image
@@ -47,6 +48,27 @@ class TestGenSolve:
                          "--sr", "0.5", "--rank-estimate", "6",
                          "--solver", "ts1-s1", "--seed", "5"]) == 0
         assert "rank_est=4" in capsys.readouterr().out
+
+    # rank_est= is printed only by a solve that estimated the rank: a
+    # known-rank ts1-s1/ts1-s2 solve reports its given rank, and --rank-estimate
+    # does not apply to ts1-it or nuclear
+    @pytest.mark.parametrize("flags", [
+        ["--solver", "ts1-s2"], ["--solver", "ts1-s1"],
+        ["--solver", "nuclear", "--rank-estimate", "4"]])
+    def test_known_rank_solve_prints_no_rank_estimate(self, capsys, flags):
+        assert cli_main(["solve", "--m", "30", "--n", "30", "--rank", "2",
+                         "--sr", "0.5", "--max-iters", "50", *flags]) == 0
+        assert "rank_est" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", [
+        ["gen", "--out", "p"], ["solve", "--m", "30", "--n", "30"],
+        ["inpaint", "--sr", "0.5"]], ids=["gen", "solve", "inpaint"])
+    def test_missing_rank_fails_one_way(self, capsys, command, monkeypatch):
+        monkeypatch.setattr("ts1mc.cli.cells",
+                            lambda *args: pytest.fail("built a problem"))
+        assert cli_main(command) == 1
+        out = capsys.readouterr()
+        assert (out.out, out.err) == ("", f"ts1mc {command[0]}: --rank is required\n")
 
 
 class TestReplay:
@@ -92,6 +114,47 @@ class TestReplay:
         from_files = self._metrics(capsys.readouterr().out)
         assert cli_main(["solve"] + self.ARGS + flags) == 0
         assert self._metrics(capsys.readouterr().out) == from_files
+
+
+class TestSolveIn:
+    """``solve --in`` takes the whole problem from its files."""
+
+    @pytest.fixture
+    def prefix(self, tmp_path, capsys):
+        prefix = str(tmp_path / "prob")
+        assert cli_main(["gen", "--m", "30", "--n", "30", "--rank", "2",
+                         "--sr", "0.5", "--noise", "0.1", "--seed", "1",
+                         "--out", prefix]) == 0
+        capsys.readouterr()
+        return prefix
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--m", "30"), ("--n", "30"), ("--sr", "0.5"), ("--cov", "0.5"),
+        ("--seed", "1")])
+    def test_problem_flag_is_refused(self, prefix, capsys, monkeypatch,
+                                     flag, value):
+        monkeypatch.setattr("ts1mc.cli.read_matrix_csv",
+                            lambda *args: pytest.fail("read the files"))
+        assert cli_main(["solve", "--in", prefix, flag, value]) == 1
+        out = capsys.readouterr()
+        assert (out.out, out.err) == (
+            "", f"ts1mc solve: {flag} cannot be set with --in\n")
+
+    def test_every_problem_flag_given_is_named(self, prefix, capsys):
+        assert cli_main(["solve", "--in", prefix, "--seed", "7", "--sr", "0.9",
+                         "--noise", "0.1", "--n", "999", "--cov", "0.5",
+                         "--m", "30"]) == 1
+        assert capsys.readouterr().err == (
+            "ts1mc solve: --m, --n, --sr, --cov, --seed cannot be set with --in\n")
+
+    def test_noise_sets_the_nuclear_default_lam(self, prefix, capsys):
+        printed = []
+        for flags in (["--noise", "0.1"], ["--lam", repr(default_nuclear_lam(0.1))],
+                      []):
+            assert cli_main(["solve", "--in", prefix, "--solver", "nuclear",
+                             "--max-iters", "30", *flags]) == 0
+            printed.append(TestReplay._metrics(capsys.readouterr().out))
+        assert printed[0] == printed[1] != printed[2]
 
 
 class TestInvalidInput:
@@ -234,7 +297,7 @@ class TestFlagsAndSpec:
         assert args.seed is None
 
     def test_gen_rank_required_and_solver_choices(self, capsys):
-        assert cli_main(["gen", "--out", "p"]) == 2
+        assert cli_main(["gen", "--out", "p"]) == 1
         assert "--rank" in capsys.readouterr().err
         for command in ("solve", "inpaint"):
             (solver,) = [a for a, _ in self._spec_options(command)

@@ -1,8 +1,13 @@
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from ts1mc import sampling
 from ts1mc.matrix import singular_values, ts1_penalty, ts1_prox_matrix
 from ts1mc.sampling import ObjectiveContext, SamplingOperator, gradient_step
 
@@ -63,6 +68,29 @@ class TestSamplingOperator:
                      np.array([[0, 1], [2, 3]])):    # not 1-D
             with pytest.raises(ValueError):
                 SamplingOperator((2, 2), flat)
+
+    @pytest.mark.parametrize("flat, message", [
+        ([2, 0, 2], "duplicate observation indices"),
+        ([3, 3, 4], r"out of bounds \[0, 4\)"),  # bounds are checked first
+        ([-1, -1], r"out of bounds \[0, 4\)")])
+    def test_validation_messages(self, flat, message):
+        with pytest.raises(ValueError, match=message):
+            SamplingOperator((2, 2), np.array(flat))
+
+    def test_index_keeps_the_callers_order(self):
+        # the checks run on a sorted copy; the operator reads in given order
+        op = SamplingOperator((2, 2), np.array([3, 0, 2]))
+        assert op.flat.tolist() == [3, 0, 2]
+
+    def test_building_an_operator_leaves_numpy_ma_unimported(self):
+        # np.unique imports numpy.ma on its first call in a process
+        code = ("import sys, numpy as np; from ts1mc.sampling import "
+                "SamplingOperator; SamplingOperator((3, 3), np.array([4, 0, 8])); "
+                "print('numpy.ma' in sys.modules)")
+        env = {**os.environ, "PYTHONPATH": str(Path(sampling.__file__).parents[1])}
+        out = subprocess.run([sys.executable, "-c", code], check=True, env=env,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "False"
 
     @pytest.mark.parametrize("flat", [[0.7, 3.2], [0.0, 3.0], [True, False]])
     def test_non_integer_index_rejected(self, flat):

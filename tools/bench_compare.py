@@ -4,6 +4,7 @@ Run from anywhere, with N parent records followed by N change records:
 
     python3 tools/bench_compare.py OLD.json NEW.json
     python3 tools/bench_compare.py OLD_1.json ... OLD_N.json NEW_1.json ... NEW_N.json
+    python3 tools/bench_compare.py --claim METRIC WORKLOAD OLD_1.json ... NEW_N.json
 
 For each workload in BENCHMARK.json and each of its end-to-end metrics this
 prints the median of each side's untraced values, new/old of the medians and
@@ -16,14 +17,27 @@ change inside the parent's own run-to-run spread is not named.  A workload
 also regresses when a change run is not correct or the change's runs failed
 a larger share of their operations in total.  Regressions and metrics
 missing from any record are marked, and any of them makes the exit status 1.
+
+``--claim METRIC WORKLOAD`` also tests a claimed gain in one end-to-end
+metric on one workload.  The i-th parent record is paired with the i-th
+change record, and the claim is met only when there are at least 10 pairs,
+the change is better in at least 9 of every 10 pairs (a tie counts for
+neither side), and the medians differ in the metric's better direction by
+more than the distance between the parent runs' quartiles.  It prints the
+wins, each side's median and quartiles and "met" or why not; a claim not
+met makes the exit status 1.  Quartiles interpolate linearly between the
+sorted runs, as ``numpy.percentile`` does.
 """
 
 import json
 import sys
 from pathlib import Path
-from statistics import median
+from statistics import median, quantiles
 
 ROOT = Path(__file__).resolve().parents[1]
+MIN_PAIRS = 10
+USAGE = ("usage: bench_compare.py [--claim METRIC WORKLOAD] OLD.json "
+         "[OLD.json ...] NEW.json [NEW.json ...]  (as many NEW as OLD)")
 
 
 def worse(better: str, old: float, new: float, bound: float) -> bool:
@@ -36,6 +50,41 @@ def worse(better: str, old: float, new: float, bound: float) -> bool:
 def beyond_every_run(better: str, olds: list[float], new: float) -> bool:
     """True when ``new`` is worse than each of ``olds``."""
     return new > max(olds) if better == "lower" else new < min(olds)
+
+
+def quartiles(values: list[float]) -> list[float]:
+    """First quartile, median and third quartile of ``values``."""
+    if len(values) == 1:
+        return values * 3
+    return quantiles(values, n=4, method="inclusive")
+
+
+def claim(metric: dict, workload: str, old: list[dict], new: list[dict]
+          ) -> tuple[str, bool]:
+    """The report line of a claimed gain in ``metric`` on ``workload`` over
+    the pairs (old[i], new[i]), and whether the claim is met."""
+    values = [[record["workloads"].get(workload, {}).get("untraced", {})
+               .get("metrics", {}).get(metric["name"], {}).get("value")
+               for record in side] for side in (old, new)]
+    head = f"claim {workload} {metric['name']} ({metric['better']} is better):"
+    if any(None in side for side in values):
+        return f"{head} MISSING from a record: not met", False
+    sign = 1.0 if metric["better"] == "lower" else -1.0
+    wins = sum(sign * (a - b) > 0 for a, b in zip(*values))
+    pairs = len(values[0])
+    (q1_old, med_old, q3_old), (q1_new, med_new, q3_new) = (
+        quartiles(side) for side in values)
+    gap, spread = sign * (med_old - med_new), q3_old - q1_old
+    missed = [why for why, fails in (
+        (f"{pairs} pairs < {MIN_PAIRS}", pairs < MIN_PAIRS),
+        (f"{wins}/{pairs} wins < 9/10", 10 * wins < 9 * pairs),
+        (f"median gap {gap:.4g} <= parent IQR {spread:.4g}", gap <= spread))
+        if fails]
+    line = (f"{head} change better in {wins}/{pairs} pairs; old median "
+            f"{med_old:.4g} [{q1_old:.4g}, {q3_old:.4g}], new median "
+            f"{med_new:.4g} [{q1_new:.4g}, {q3_new:.4g}]: "
+            + (f"NOT MET ({'; '.join(missed)})" if missed else "met"))
+    return line, not missed
 
 
 def compare(manifest: dict, old: list[dict], new: list[dict]
@@ -89,15 +138,27 @@ def compare(manifest: dict, old: list[dict], new: list[dict]
 
 
 def main(argv: list[str]) -> int:
-    if not argv or len(argv) % 2:
-        print("usage: bench_compare.py OLD.json [OLD.json ...] "
-              "NEW.json [NEW.json ...]  (as many NEW as OLD)", file=sys.stderr)
-        return 2
     manifest = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    claimed = None
+    if argv[:1] == ["--claim"]:
+        metrics = {metric["name"]: metric for metric in manifest["end_to_end"]}
+        workloads = [workload["name"] for workload in manifest["workloads"]]
+        if len(argv) < 3 or argv[1] not in metrics or argv[2] not in workloads:
+            print(f"{USAGE}\nMETRIC is one of {', '.join(metrics)}; WORKLOAD "
+                  f"one of {', '.join(workloads)}", file=sys.stderr)
+            return 2
+        claimed, argv = (metrics[argv[1]], argv[2]), argv[3:]
+    if not argv or len(argv) % 2:
+        print(USAGE, file=sys.stderr)
+        return 2
     records = [json.loads(Path(p).read_text(encoding="utf-8")) for p in argv]
     tags = [record.get("tag", path) for record, path in zip(records, argv)]
     n = len(argv) // 2
     lines, failed = compare(manifest, records[:n], records[n:])
+    if claimed:
+        line, met = claim(*claimed, records[:n], records[n:])
+        lines.append(line)
+        failed = failed or not met
     print(f"{', '.join(tags[:n])} -> {', '.join(tags[n:])}")
     print("\n".join(lines))
     return 1 if failed else 0
