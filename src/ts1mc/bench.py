@@ -85,6 +85,8 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if not self.ranks or not self.covs or not self.noises or not self.solvers:
             raise ValueError("parameter lists must be nonempty")
         for name in self.solvers:

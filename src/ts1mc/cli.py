@@ -100,12 +100,14 @@ def _problem(args, suite: Suite, **fixed):
 
 
 def _solve(spec: ExperimentSpec, masked: MaskedMatrix, truth_matrix):
-    """Solve the spec's first cell: (report, metrics, seconds)."""
+    """Solve the spec's first cell: (report, metrics, end of the printed
+    line: `` rank_est=K`` if the solve estimated the rank, and the time)."""
     config = solver_config(spec, spec.solvers[0], spec.ranks[0], spec.noises[0])
     t0 = time.perf_counter()
     report = solve(masked, config)
     wall = time.perf_counter() - t0
-    return report, evaluate(report.x_opt, truth_matrix), wall
+    rank = "" if report.rank_estimate is None else f" rank_est={report.rank_estimate}"
+    return report, evaluate(report.x_opt, truth_matrix), f"{rank} time={wall:.2f}s"
 
 
 def _cmd_gen(args) -> int:
@@ -148,8 +150,8 @@ def _load_problem(prefix: str, rank: int | None):
 def _cmd_solve(args) -> int:
     if args.input_prefix:
         # the files fix the problem; --noise only sets nuclear's default lam
-        given = [f"--{name}" for name in ("m", "n", "sr", "cov", "seed")
-                 if getattr(args, name) is not None]
+        given = [f"--{name}" for name in _PROBLEM_FLAGS
+                 if name != "noise" and getattr(args, name) is not None]
         if given:
             raise ValueError(f"{', '.join(given)} cannot be set with --in")
         r, truth_matrix, masked = _load_problem(args.input_prefix, args.rank)
@@ -157,12 +159,9 @@ def _cmd_solve(args) -> int:
                      n=masked.shape[1])
     else:
         spec, truth_matrix, masked = _problem(args, Suite.SINGLE)
-    report, met, wall = _solve(spec, masked, truth_matrix)
-    estimated = spec.rank_estimate is not None and report.rank_estimate is not None
-    extra = f" rank_est={report.rank_estimate}" if estimated else ""
+    report, met, end = _solve(spec, masked, truth_matrix)
     print(f"solver={spec.solvers[0]} rel.err={met.rel_err:.6e} "
-          f"iterations={report.iterations} converged={report.converged}"
-          f"{extra} time={wall:.2f}s")
+          f"iterations={report.iterations} converged={report.converged}{end}")
     if args.out:
         write_matrix_csv(args.out, report.x_opt)
     return 0
@@ -188,10 +187,9 @@ def _cmd_bench(args) -> int:
 def _cmd_inpaint(args) -> int:
     # m, n only size the synthetic pattern; a PGM image brings its own.
     spec, truth_matrix, masked = _problem(args, Suite.INPAINT, m=128, n=128)
-    report, met, wall = _solve(spec, masked, truth_matrix)
+    report, met, end = _solve(spec, masked, truth_matrix)
     print(f"solver={spec.solvers[0]} psnr={met.psnr:.2f}dB mse={met.mse:.3e} "
-          f"rel.err={met.rel_err:.4e} iterations={report.iterations} "
-          f"time={wall:.2f}s")
+          f"rel.err={met.rel_err:.4e} iterations={report.iterations}{end}")
     if args.out:
         write_pgm(f"{args.out}.recovered.pgm",
                   np.clip(report.x_opt, 0.0, 1.0))

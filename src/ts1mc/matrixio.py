@@ -78,9 +78,11 @@ def write_pgm(path, image: np.ndarray) -> None:
 
 
 def read_matrix_csv(path) -> np.ndarray:
-    """Read a dense comma-separated matrix."""
-    out = np.loadtxt(path, delimiter=",", dtype=float, ndmin=2)
-    return out
+    """Read a dense comma-separated matrix of at least one value."""
+    with open(path, encoding="ascii") as fh:
+        if not (rows := [line for line in fh if line.strip()]):
+            raise ValueError(f"{path}: holds no values")
+    return np.loadtxt(rows, delimiter=",", dtype=float, ndmin=2)
 
 
 def write_matrix_csv(path, x: np.ndarray) -> None:

@@ -150,7 +150,9 @@ class IterationRecord(NamedTuple):
 
 @dataclass(frozen=True)
 class SolveReport:
-    """A solve's result; ``history`` holds one record per iteration run."""
+    """A solve's result.  ``history[i].rank`` is ts1-s1/ts1-s2's working rank
+    or ts1-it/nuclear's count of kept singular values; ``rank_estimate`` is
+    the eigengap test's rank, None unless the rank was estimated."""
 
     x_opt: np.ndarray
     converged: bool
@@ -373,6 +375,7 @@ def solve(problem: MaskedMatrix, config: SolverConfig) -> SolveReport:
             break
 
     return SolveReport(x_opt=x, converged=converged, history=history,
-                       rank_estimate=select.rank if adaptive else None,
+                       rank_estimate=(select.rank if adaptive and select.estimating
+                                      else None),
                        rank_adjusted=adaptive and select.adjusted,
                        tau=select.tau if adaptive else 0.0)

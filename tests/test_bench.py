@@ -78,6 +78,26 @@ class TestRunSuite:
         assert rec.rank_estimated == 4
         assert rec.success
 
+    def test_known_rank_rows_record_no_rank_estimate(self, tmp_path):
+        spec = tiny_spec(suite=Suite.TABLE_KNOWN_RANK, trials=1, lam=0.1,
+                         solvers=("ts1-it", "ts1-s1", "ts1-s2", "nuclear"),
+                         max_iters=50)
+        records = run_suite(spec)
+        assert [rec.rank_estimated for rec in records] == [None] * 4
+        out = tmp_path / "records.csv"
+        emit_csv(records, out)
+        rows = out.read_text().splitlines()[1:]
+        assert len(rows) == 4
+        assert all(row.endswith(",") for row in rows)
+
+    def test_rank_estimate_rows_carry_the_estimate(self):
+        spec = tiny_spec(suite=Suite.TABLE_RANK_ESTIMATE, m=60, n=60,
+                         ranks=(4,), trials=1, lam=0.1, max_iters=50,
+                         solvers=("ts1-s1", "ts1-s2", "ts1-it", "nuclear"))
+        estimates = [rec.rank_estimated for rec in run_suite(spec)]
+        assert estimates[0] == 4 and type(estimates[1]) is int
+        assert estimates[2:] == [None, None]
+
     def test_deterministic_records(self):
         spec = tiny_spec()
         r1 = run_suite(spec)
@@ -204,9 +224,10 @@ class TestRunSuite:
                                          "nonnegative, got -0.1"),
                  ("noises", (0.0, math.inf), "noise level must be finite"),
                  ("sr", 0.0, "sampling ratio must lie in (0, 1], got 0.0"),
-                 ("sr", 1.5, "sampling ratio must lie in (0, 1], got 1.5")]
+                 ("sr", 1.5, "sampling ratio must lie in (0, 1], got 1.5"),
+                 ("seed", -3, "seed must be nonnegative, got -3")]
     BAD_IDS = ["rank-above-dims", "rank-zero", "cov-one", "noise-negative",
-               "noise-inf", "sr-zero", "sr-above-one"]
+               "noise-inf", "sr-zero", "sr-above-one", "seed-negative"]
 
     @pytest.mark.parametrize("key, value, message", BAD_GRIDS, ids=BAD_IDS)
     def test_bad_grid_value_rejected_when_built(self, key, value, message):

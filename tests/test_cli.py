@@ -50,7 +50,7 @@ class TestGenSolve:
         assert "rank_est=4" in capsys.readouterr().out
 
     # rank_est= is printed only by a solve that estimated the rank: a
-    # known-rank ts1-s1/ts1-s2 solve reports its given rank, and --rank-estimate
+    # known-rank ts1-s1/ts1-s2 solve reports no estimate, and --rank-estimate
     # does not apply to ts1-it or nuclear
     @pytest.mark.parametrize("flags", [
         ["--solver", "ts1-s2"], ["--solver", "ts1-s1"],
@@ -210,6 +210,34 @@ class TestInvalidInput:
                             lambda *args: pytest.fail("solved a NaN truth"))
         assert cli_main(["solve", "--in", prefix, "--rank", "2"]) == 1
         assert prefix + ".truth.csv" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content", ["", "\n"], ids=["empty", "blank-line"])
+    def test_truth_file_without_values(self, tmp_path, capfd, monkeypatch,
+                                       content):
+        prefix = str(tmp_path / "prob")
+        assert cli_main(["gen", "--m", "10", "--n", "10", "--rank", "2",
+                         "--out", prefix]) == 0
+        (tmp_path / "prob.truth.csv").write_text(content)
+        monkeypatch.setattr("ts1mc.cli.solve",
+                            lambda *args: pytest.fail("solved an empty truth"))
+        capfd.readouterr()
+        assert cli_main(["solve", "--in", prefix]) == 1
+        out = capfd.readouterr()
+        assert "DGESDD" not in out.err
+        assert (out.out, out.err) == (
+            "", f"ts1mc solve: {prefix}.truth.csv: holds no values\n")
+
+    @pytest.mark.parametrize("command", ["solve", "bench"])
+    def test_negative_seed(self, tmp_path, capsys, monkeypatch, command):
+        monkeypatch.setattr("ts1mc.bench.cells",
+                            lambda *args: pytest.fail("built a problem"))
+        cfg = tmp_path / "t.cfg"
+        cfg.write_text("[experiment]\nsuite = single\nm = 20\nn = 20\n")
+        args = {"solve": ["--m", "20", "--n", "20", "--rank", "2"],
+                "bench": ["--config", str(cfg), "--out", str(tmp_path / "o.csv")]}
+        assert cli_main([command, *args[command], "--seed", "-1"]) == 1
+        assert capsys.readouterr().err == (
+            f"ts1mc {command}: seed must be nonnegative, got -1\n")
 
     def test_negative_lam(self, capsys):
         assert cli_main(["solve", "--m", "20", "--n", "20", "--rank", "2",
@@ -412,6 +440,35 @@ class TestInpaint:
 
     def test_rank_required(self, capsys):
         assert cli_main(["inpaint", "--sr", "0.5"]) == 1
+
+    # inpaint prints rank_est= as solve does: exactly when the solve
+    # estimated the rank, the value its bench row records
+    @pytest.mark.parametrize("flags", [[], ["--rank-estimate", "6"]],
+                             ids=["known-rank", "rank-estimate"])
+    def test_prints_the_rank_estimate_its_bench_row_records(self, tmp_path,
+                                                            capsys, flags):
+        src = tmp_path / "in.pgm"
+        write_pgm(src, synthetic_test_image(32, 32))
+        cfg = tmp_path / "one.cfg"
+        cfg.write_text(
+            f"[experiment]\nsuite = inpaint\nimage = {src}\nranks = 4\n"
+            "sr = 0.6\ntrials = 1\nsolvers = ts1-s1\nseed = 2\n"
+            "[solver]\nmax_iters = 30\n"
+            + ("rank_estimate = 6\n" if flags else ""))
+        out = tmp_path / "one.csv"
+        assert cli_main(["bench", "--config", str(cfg), "--out", str(out)]) == 0
+        row = read_csv(out)[0]
+        capsys.readouterr()
+        assert cli_main(["inpaint", "--image", str(src), "--rank", "4",
+                         "--sr", "0.6", "--solver", "ts1-s1", "--seed", "2",
+                         "--max-iters", "30", *flags]) == 0
+        printed = capsys.readouterr().out
+        if flags:
+            assert type(row.rank_estimated) is int
+            assert (f" iterations={row.iterations} "
+                    f"rank_est={row.rank_estimated} time=") in printed
+        else:
+            assert row.rank_estimated is None and "rank_est" not in printed
 
     def test_sample_above_maxval_exits_1(self, tmp_path, capsys):
         src = tmp_path / "big.pgm"

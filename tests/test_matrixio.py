@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -99,3 +101,17 @@ class TestMatrixCsv:
         write_matrix_csv(path, np.array([1.0, 2.0, 3.0]))
         back = read_matrix_csv(path)
         assert back.shape == (1, 3)
+
+    @pytest.mark.parametrize("content", ["", "\n", "\n  \n\n"],
+                             ids=["empty", "blank-line", "blank-lines"])
+    def test_file_without_values_rejected(self, tmp_path, content):
+        path = tmp_path / "none.csv"
+        path.write_text(content)
+        message = f"{path}: holds no values"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            read_matrix_csv(path)
+
+    def test_blank_lines_between_rows_are_skipped(self, tmp_path):
+        path = tmp_path / "gaps.csv"
+        path.write_text("1,2\n\n3,4\n\n")
+        assert np.array_equal(read_matrix_csv(path), [[1.0, 2.0], [3.0, 4.0]])

@@ -278,6 +278,18 @@ class TestSolve:
         changes = sum(1 for r1, r2 in zip(ranks, ranks[1:]) if r1 != r2)
         assert changes <= 1
 
+    @pytest.mark.parametrize("algorithm", [Algorithm.TS1_S1, Algorithm.TS1_S2])
+    def test_rank_estimate_only_when_estimating(self, algorithm):
+        _, masked = make_problem(40, 40, 3, sr=0.5, seed=3)
+        known = solve(masked, SolverConfig(algorithm=algorithm,
+                                           rank=KnownRank(3), max_iters=20))
+        assert known.rank_estimate is None and not known.rank_adjusted
+        assert {h.rank for h in known.history} == {3}
+        estimated = solve(masked, SolverConfig(
+            algorithm=algorithm, rank=RankEstimate(k=5), max_iters=20))
+        assert type(estimated.rank_estimate) is int
+        assert estimated.rank_estimate == estimated.history[-1].rank
+
     def test_converged_implies_residual_below_tol(self):
         truth, masked = make_problem(40, 40, 3, 0.5, seed=20)
         cfg = SolverConfig(algorithm=Algorithm.TS1_S2, rank=KnownRank(3),
