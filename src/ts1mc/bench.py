@@ -7,8 +7,9 @@ derive their seeds from (suite seed, combo index, trial index), so records
 are reproducible and independent of execution order.  ``cells`` yields
 them in CSV row order; the CLI solves the first cell of a one-trial suite.
 Config keys and CSV columns are the field names of ExperimentSpec and
-ExperimentRecord.  Wall time is the only column outside the byte-level
-determinism guarantee.
+ExperimentRecord.  A spec refuses a value no solver reads; ``run_suite``
+checks each rank with ``SolverConfig.check_rank`` before the first solve.
+Wall time is the only column outside the byte-level determinism guarantee.
 """
 
 from __future__ import annotations
@@ -61,6 +62,10 @@ class Suite(str, enum.Enum):
     SINGLE = "single"
 
 
+def _estimating(spec: ExperimentSpec) -> bool:
+    return spec.rank_estimate is not None or spec.suite is Suite.TABLE_RANK_ESTIMATE
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     suite: Suite
@@ -89,8 +94,17 @@ class ExperimentSpec:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if not self.ranks or not self.covs or not self.noises or not self.solvers:
             raise ValueError("parameter lists must be nonempty")
-        for name in self.solvers:
-            Algorithm(name)  # raises on unknown solver
+        # a value off its default must be read by a solver or by the suite
+        reads = set().union(*(Algorithm(name).reads for name in self.solvers))
+        unread = [name for name, read in (
+            ("a", "a" in reads), ("lam", "lam" in reads),
+            ("rank_estimate", "rank" in reads),
+            ("r_min", "rank" in reads and _estimating(self)),
+            ("image", self.suite is Suite.INPAINT))
+            if getattr(self, name) != getattr(ExperimentSpec, name) and not read]
+        if unread:
+            raise ValueError(f"{', '.join(unread)} not read by "
+                             f"{', '.join(self.solvers)} in suite {self.suite.value}")
         # A grid value no cell's generator accepts fails here, with its
         # message; an inpaint image's shape is known once it is read.
         if not 0.0 < self.sr <= 1.0:
@@ -173,22 +187,17 @@ def _derive_seed(*parts: int) -> int:
 
 def solver_config(spec: ExperimentSpec, name: str, r: int,
                   noise: float) -> SolverConfig:
-    """Solver settings of one cell of rank ``r`` and noise level ``noise``."""
+    """Settings of solver ``name`` in a cell of rank ``r`` and noise ``noise``."""
     alg = Algorithm(name)
-    estimating = (spec.rank_estimate is not None
-                  or spec.suite is Suite.TABLE_RANK_ESTIMATE)
-    if estimating and alg in (Algorithm.TS1_S1, Algorithm.TS1_S2):
-        # K = floor(1.5 r), and at least r + 1 so that r = 1 has a gap to test
-        k = (spec.rank_estimate if spec.rank_estimate is not None
-             else max(int(1.5 * r), r + 1))
-        rank = RankEstimate(k=k, r_min=spec.r_min)
-    else:
-        rank = KnownRank(r=r)
-    lam = spec.lam
-    if alg is Algorithm.NUCLEAR and lam is None:
-        lam = default_nuclear_lam(noise)
-    return SolverConfig(algorithm=alg, rank=rank, mu=spec.mu, a=spec.a,
-                        lam=lam, tol=spec.tol, max_iters=spec.max_iters)
+    # K = floor(1.5 r), and at least r + 1 so that r = 1 has a gap to test
+    k = max(int(1.5 * r), r + 1) if spec.rank_estimate is None else spec.rank_estimate
+    rank = RankEstimate(k=k, r_min=spec.r_min) if _estimating(spec) else KnownRank(r=r)
+    settings = {"rank": rank, "a": spec.a, "lam": spec.lam}
+    if alg is Algorithm.NUCLEAR and spec.lam is None:
+        settings["lam"] = default_nuclear_lam(noise)
+    return SolverConfig(algorithm=alg, mu=spec.mu, tol=spec.tol,
+                        max_iters=spec.max_iters,
+                        **{field: settings[field] for field in alg.reads})
 
 
 def cells(spec: ExperimentSpec) -> Iterator[
@@ -243,16 +252,20 @@ def run_suite(spec: ExperimentSpec) -> list[ExperimentRecord]:
     """Run every solver on every cell of the suite, in CSV row order.
 
     A setting no problem can use aborts the suite before the first solve:
-    the spec rejects a bad grid value when built, and every cell's solver
-    settings are built first.  Per-trial solver failures become rows with
-    infinite error.  Records are deterministic given the spec (modulo the
-    wall-time column).
+    the spec rejects a bad grid value when built, every cell's solver
+    settings are built first and their ranks checked against the first
+    cell's shape (an inpaint image's).  A failed solve becomes a row with
+    infinite error.  Records are deterministic given the spec (bar wall time).
     """
     configs = {(r, noise, name): solver_config(spec, name, r, noise)
                for r in spec.ranks for noise in spec.noises
                for name in spec.solvers}
+    stream = cells(spec)
+    first = next(stream)
+    for cfg in configs.values():
+        cfg.check_rank(first[2].shape)
     records: list[ExperimentRecord] = []
-    for (r, cov, noise, trial), truth, masked in cells(spec):
+    for (r, cov, noise, trial), truth, masked in itertools.chain([first], stream):
         for name in spec.solvers:
             records.append(_run_one(spec, truth, masked, trial, r, cov, noise,
                                     configs[r, noise, name]))
@@ -310,7 +323,7 @@ def load_config(path, full: bool = False) -> ExperimentSpec:
     ``[solver]`` section, each parsed by its field's type; unset keys keep
     the field default and an empty value means None for optional fields.
     ``full_trials`` is the full-scale trial count, used instead of
-    ``trials`` with ``full``.
+    ``trials`` with ``full``, which requires it.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
     try:
@@ -326,7 +339,9 @@ def load_config(path, full: bool = False) -> ExperimentSpec:
                 raise ValueError(f"{path}: key {key!r} is set twice")
             raw[key] = text
     full_trials = raw.pop("full_trials", None)
-    if full and full_trials is not None:
+    if full:
+        if full_trials is None:
+            raise ValueError(f"{path}: no full_trials key for a full-scale run")
         raw["trials"] = full_trials
     values = {}
     for key, text in raw.items():

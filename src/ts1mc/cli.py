@@ -154,6 +154,8 @@ def _cmd_solve(args) -> int:
                  if name != "noise" and getattr(args, name) is not None]
         if given:
             raise ValueError(f"{', '.join(given)} cannot be set with --in")
+        if args.noise is not None and (args.solver, args.lam) != ("nuclear", None):
+            raise ValueError("--noise with --in needs --solver nuclear and no --lam")
         r, truth_matrix, masked = _load_problem(args.input_prefix, args.rank)
         spec = _spec(args, Suite.SINGLE, ranks=(r,), m=masked.shape[0],
                      n=masked.shape[1])

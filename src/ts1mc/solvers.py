@@ -87,6 +87,12 @@ class Algorithm(str, enum.Enum):
     TS1_S2 = "ts1-s2"
     NUCLEAR = "nuclear"
 
+    @property
+    def reads(self) -> tuple[str, ...]:
+        """``SolverConfig`` fields read besides mu, tol and max_iters."""
+        return {"ts1-it": ("a", "lam"), "ts1-s1": ("rank", "a"),
+                "ts1-s2": ("rank",), "nuclear": ("lam",)}[self.value]
+
 
 @dataclass(frozen=True)
 class KnownRank:
@@ -103,8 +109,8 @@ class RankEstimate:
 class SolverConfig:
     """Algorithm choice and iteration parameters.
 
-    ``a`` is consumed by ts1-it and ts1-s1 (ts1-s2 adapts it); ``lam`` by
-    ts1-it (lam * mu > 0) and nuclear (lam >= 0).  Leaving ``a`` unset
+    ``Algorithm.reads`` names the fields each scheme reads besides mu, tol
+    and max_iters; setting any other one is refused.  Leaving ``a`` unset
     applies the empirical policy: 1 for known rank; for rank estimation
     1000 when the freedom ratio is below 0.6, otherwise 10.  In
     rank-estimation mode ts1-s1 switches to the known-rank value a = 1
@@ -127,7 +133,10 @@ class SolverConfig:
         if not self.tol > 0 or self.max_iters < 1:
             raise ValueError("tol must be positive and max_iters at least 1")
         check_penalty(self.lam, self.a)
-        if self.algorithm in (Algorithm.TS1_S1, Algorithm.TS1_S2):
+        for name in ("rank", "a", "lam"):
+            if getattr(self, name) is not None and name not in self.algorithm.reads:
+                raise ValueError(f"{self.algorithm.value} does not read {name}")
+        if "rank" in self.algorithm.reads:
             if not isinstance(self.rank, (KnownRank, RankEstimate)):
                 raise ValueError(f"{self.algorithm.value} requires a rank input")
             if (isinstance(self.rank, RankEstimate)
@@ -138,6 +147,14 @@ class SolverConfig:
             raise ValueError(f"{self.algorithm.value} requires a fixed lam")
         elif self.algorithm is Algorithm.TS1_IT and not self.lam * self.mu > 0:
             raise ValueError(f"ts1-it requires lam * mu > 0, got lam={self.lam}")
+
+    def check_rank(self, shape: tuple[int, int]) -> None:
+        """Reject a rank leaving an m x n ``shape`` no sigma_{r+1} or sigma_{K+1}."""
+        top = min(shape) - 1
+        if isinstance(self.rank, KnownRank) and not 1 <= self.rank.r <= top:
+            raise ValueError(f"known rank {self.rank.r} out of range")
+        if isinstance(self.rank, RankEstimate) and self.rank.k > top:
+            raise ValueError(f"rank estimate needs 1 <= r_min < K <= {top}")
 
 
 class IterationRecord(NamedTuple):
@@ -327,18 +344,6 @@ def resolve_a(config: SolverConfig, problem: MaskedMatrix) -> float:
     return KNOWN_RANK_DEFAULT_A
 
 
-def _validate(problem: MaskedMatrix, config: SolverConfig) -> None:
-    """The checks that need the problem; ``SolverConfig`` makes the rest."""
-    if not np.all(np.isfinite(problem.values)):
-        raise ValueError("observed values must be finite")
-    top = min(problem.shape) - 1
-    if config.algorithm in (Algorithm.TS1_S1, Algorithm.TS1_S2):
-        if isinstance(config.rank, KnownRank) and not 1 <= config.rank.r <= top:
-            raise ValueError(f"known rank {config.rank.r} out of range")
-        if isinstance(config.rank, RankEstimate) and config.rank.k > top:
-            raise ValueError(f"rank estimate needs 1 <= r_min < K <= {top}")
-
-
 def solve(problem: MaskedMatrix, config: SolverConfig) -> SolveReport:
     """Run the configured scheme from the observed-entry fill matrix.
 
@@ -348,7 +353,9 @@ def solve(problem: MaskedMatrix, config: SolverConfig) -> SolveReport:
     shared by the parameter selection, the eigengap estimator and the
     thresholding itself.
     """
-    _validate(problem, config)
+    if not np.all(np.isfinite(problem.values)):
+        raise ValueError("observed values must be finite")
+    config.check_rank(problem.shape)
     alg = config.algorithm
     if alg is Algorithm.TS1_IT:
         select = _ts1_threshold(resolve_a(config, problem), config.lam * config.mu)

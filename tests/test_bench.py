@@ -106,16 +106,6 @@ class TestRunSuite:
             assert a.rel_err == b.rel_err
             assert a.iterations == b.iterations
 
-    def test_solver_failure_becomes_failed_row(self):
-        # rank equal to min(m, n) is rejected by the solver; row must record
-        # the failure instead of raising
-        spec = tiny_spec(ranks=(30,), trials=1, suite=Suite.TABLE_KNOWN_RANK,
-                         sr=0.9)
-        records = run_suite(spec)
-        assert len(records) == 1
-        assert not records[0].success
-        assert math.isinf(records[0].rel_err)
-
     def test_ts1_s1_overflow_becomes_failed_row(self, monkeypatch):
         # data scaled by 1e154 overflow ts1-s1's float weight (a + 2 s_r)^2;
         # the cell must become an inf row, not end the suite
@@ -171,6 +161,60 @@ class TestRunSuite:
         with pytest.raises(ValueError, match="rank estimate needs 1 <= r_min < K"):
             run_suite(spec)
 
+    # A rank (or K) that leaves ts1-s1/ts1-s2 no sigma_{r+1} fails the suite
+    # with the solver's own message before any solve, also after a usable
+    # rank; an inpaint suite's shape is its image's, not m x n.
+    UNUSABLE_RANKS = [
+        ("suite = table-known-rank\nm = 10\nn = 10\nranks = 10\n",
+         "known rank 10 out of range"),
+        ("suite = table-rank-estimate\nm = 20\nn = 20\nranks = 12 15\n",
+         "rank estimate needs 1 <= r_min < K <= 19"),
+        ("suite = inpaint\nimage = {image}\nranks = 16\n",
+         "known rank 16 out of range")]
+    UNUSABLE_IDS = ["known-rank", "rank-estimate", "inpaint-image"]
+
+    @staticmethod
+    def _unusable_config(tmp_path, monkeypatch, text):
+        monkeypatch.setattr("ts1mc.bench.solve",
+                            lambda *args: pytest.fail("solved a cell"))
+        image = tmp_path / "square.pgm"
+        write_pgm(image, synthetic_test_image(16, 16))
+        cfg = tmp_path / "unusable.cfg"
+        cfg.write_text("[experiment]\n" + text.format(image=image)
+                       + "trials = 2\n")
+        return cfg
+
+    @pytest.mark.parametrize("text, message", UNUSABLE_RANKS, ids=UNUSABLE_IDS)
+    def test_unusable_rank_fails_before_any_solve(self, tmp_path, monkeypatch,
+                                                  text, message):
+        spec = load_config(self._unusable_config(tmp_path, monkeypatch, text))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run_suite(spec)
+
+    @pytest.mark.parametrize("text, message", UNUSABLE_RANKS, ids=UNUSABLE_IDS)
+    def test_bench_exits_on_an_unusable_rank(self, tmp_path, capsys,
+                                             monkeypatch, text, message):
+        cfg = self._unusable_config(tmp_path, monkeypatch, text)
+        out = tmp_path / "records.csv"
+        assert cli_main(["bench", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"ts1mc bench: {message}\n"
+        assert not out.exists()
+
+    def test_lam_reaches_only_the_solvers_that_read_it(self):
+        # ts1-s2 derives lam from each spectrum; nuclear reads the suite's
+        spec = tiny_spec(suite=Suite.TABLE_KNOWN_RANK, trials=2, lam=0.1,
+                         solvers=("ts1-s2", "nuclear"), max_iters=50)
+        both = [replace(rec, wall_time_seconds=0.0) for rec in run_suite(spec)]
+        alone = {name: [replace(rec, wall_time_seconds=0.0) for rec in
+                        run_suite(replace(spec, solvers=(name,), lam=lam))]
+                 for name, lam in (("ts1-s2", None), ("nuclear", 0.1))}
+        assert both[0::2] == alone["ts1-s2"]
+        assert both[1::2] == alone["nuclear"]
+        # and the lam it reads is the suite's, not the default level
+        default = run_suite(replace(spec, solvers=("nuclear",), lam=None))
+        assert ([rec.rel_err for rec in both[1::2]]
+                != [rec.rel_err for rec in default])
+
     def test_inpaint_suite(self):
         spec = tiny_spec(suite=Suite.INPAINT, m=48, n=48, ranks=(5,), sr=0.5,
                          noises=(0.01, 0.1), trials=1,
@@ -216,7 +260,9 @@ class TestRunSuite:
             tiny_spec(ranks=())
 
     # A grid value no generator accepts, after good ones: a check made only
-    # when its cell is built would solve the earlier cells first.
+    # when its cell is built would solve the earlier cells first.  So is a
+    # setting no solver of the suite (ts1-s2, the default) or its suite
+    # reads.
     BAD_GRIDS = [("ranks", (5, 200), "rank r=200 out of range for dims (100, 100)"),
                  ("ranks", (5, 0), "rank r=0 out of range"),
                  ("covs", (0.0, 1.0), "cov must lie in [0, 1), got 1.0"),
@@ -225,9 +271,15 @@ class TestRunSuite:
                  ("noises", (0.0, math.inf), "noise level must be finite"),
                  ("sr", 0.0, "sampling ratio must lie in (0, 1], got 0.0"),
                  ("sr", 1.5, "sampling ratio must lie in (0, 1], got 1.5"),
-                 ("seed", -3, "seed must be nonnegative, got -3")]
+                 ("seed", -3, "seed must be nonnegative, got -3"),
+                 ("a", 2.0, "a not read by ts1-s2 in suite table-known-rank"),
+                 ("lam", 0.1, "lam not read by ts1-s2 in suite table-known-rank"),
+                 ("r_min", 2, "r_min not read by ts1-s2 in suite table-known-rank"),
+                 ("image", "/no/such.pgm",
+                  "image not read by ts1-s2 in suite table-known-rank")]
     BAD_IDS = ["rank-above-dims", "rank-zero", "cov-one", "noise-negative",
-               "noise-inf", "sr-zero", "sr-above-one", "seed-negative"]
+               "noise-inf", "sr-zero", "sr-above-one", "seed-negative",
+               "a-unread", "lam-unread", "r-min-unread", "image-outside-inpaint"]
 
     @pytest.mark.parametrize("key, value, message", BAD_GRIDS, ids=BAD_IDS)
     def test_bad_grid_value_rejected_when_built(self, key, value, message):
@@ -395,11 +447,27 @@ class TestConfigFiles:
             load_config("/no/such/file.cfg")
 
     def test_keys_may_sit_in_either_section(self, tmp_path):
+        # lam needs a solver that reads it: nuclear
         cfg = tmp_path / "exp.cfg"
-        cfg.write_text("[experiment]\nmu = 0.5\na =\n"
+        cfg.write_text("[experiment]\nmu = 0.5\na =\nsolvers = nuclear\n"
                        "[solver]\nsuite = single\nlam = 0.2\n")
-        assert load_config(cfg) == ExperimentSpec(suite=Suite.SINGLE, mu=0.5,
-                                                  lam=0.2)
+        assert load_config(cfg) == ExperimentSpec(
+            suite=Suite.SINGLE, mu=0.5, lam=0.2, solvers=("nuclear",))
+
+    def test_full_needs_full_trials(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("ts1mc.bench.cells",
+                            lambda *args: pytest.fail("built a problem"))
+        cfg = tmp_path / "short.cfg"
+        cfg.write_text("[experiment]\nsuite = single\ntrials = 2\n")
+        assert load_config(cfg).trials == 2
+        message = f"{cfg}: no full_trials key for a full-scale run"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            load_config(cfg, full=True)
+        out = tmp_path / "records.csv"
+        assert cli_main(["bench", "--config", str(cfg), "--out", str(out),
+                         "--full"]) == 1
+        assert capsys.readouterr().err == f"ts1mc bench: {message}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("text, message", [
         ("[experiment]\nsuite = single\n[solver]\nmax_iter = 3\n",

@@ -193,3 +193,25 @@ def test_claim_on_a_higher_is_better_metric(tmp_path, capsys):
 def test_claim_needs_a_known_metric_and_workload(capsys, args):
     assert bench_compare.main([*args, "a.json", "b.json"]) == 2
     assert capsys.readouterr().err.startswith("usage:")
+
+
+@pytest.mark.parametrize("content, reason", [
+    (None, "No such file"),
+    ("{}", "is not a BENCH record"),
+    ('{"workloads": {"gauss100-suite": 3}}', "is not a BENCH record"),
+    ("[1, 2]", "is not a BENCH record"),
+    ("suite,solver\n", "cannot read"),
+], ids=["missing", "empty-object", "workload-not-object", "list", "not-json"])
+def test_unusable_record_exits_2_naming_it(tmp_path, capsys, content, reason):
+    good = tmp_path / "BENCH_good.json"
+    good.write_text(json.dumps(record("good")), encoding="utf-8")
+    bad = tmp_path / "BENCH_bad.json"
+    if content is not None:
+        bad.write_text(content, encoding="utf-8")
+    for argv in ([str(good), str(bad)], [str(bad), str(good)]):
+        assert bench_compare.main(argv) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        (line,) = out.err.splitlines()
+        assert line.startswith("bench_compare.py: ") and str(bad) in line
+        assert reason in line

@@ -50,15 +50,50 @@ class TestGenSolve:
         assert "rank_est=4" in capsys.readouterr().out
 
     # rank_est= is printed only by a solve that estimated the rank: a
-    # known-rank ts1-s1/ts1-s2 solve reports no estimate, and --rank-estimate
-    # does not apply to ts1-it or nuclear
+    # known-rank ts1-s1/ts1-s2 solve reports no estimate, and nuclear, which
+    # has no rank to estimate, refuses --rank-estimate before it solves
     @pytest.mark.parametrize("flags", [
         ["--solver", "ts1-s2"], ["--solver", "ts1-s1"],
         ["--solver", "nuclear", "--rank-estimate", "4"]])
     def test_known_rank_solve_prints_no_rank_estimate(self, capsys, flags):
-        assert cli_main(["solve", "--m", "30", "--n", "30", "--rank", "2",
-                         "--sr", "0.5", "--max-iters", "50", *flags]) == 0
-        assert "rank_est" not in capsys.readouterr().out
+        code = cli_main(["solve", "--m", "30", "--n", "30", "--rank", "2",
+                         "--sr", "0.5", "--max-iters", "50", *flags])
+        out = capsys.readouterr()
+        assert "rank_est" not in out.out
+        if "nuclear" in flags:
+            assert (code, out.out, out.err) == (
+                1, "", "ts1mc solve: rank_estimate not read by nuclear in "
+                       "suite single\n")
+        else:
+            assert (code, out.err) == (0, "")
+
+    # solve and inpaint refuse a setting their one solver does not read,
+    # naming it, before any problem is built
+    @pytest.mark.parametrize("command, flags, message", [
+        ("solve", ["--solver", "ts1-s2", "--a", "5", "--lam", "3"],
+         "a, lam not read by ts1-s2 in suite single"),
+        ("solve", ["--solver", "ts1-s1", "--lam", "7"],
+         "lam not read by ts1-s1 in suite single"),
+        ("solve", ["--solver", "nuclear", "--rank-estimate", "5"],
+         "rank_estimate not read by nuclear in suite single"),
+        ("solve", ["--r-min", "2"], "r_min not read by ts1-s2 in suite single"),
+        ("solve", ["--solver", "ts1-it", "--lam", "0.1", "--rank-estimate", "5",
+                   "--r-min", "2"],
+         "rank_estimate, r_min not read by ts1-it in suite single"),
+        ("inpaint", ["--solver", "nuclear", "--a", "2"],
+         "a not read by nuclear in suite inpaint"),
+    ], ids=["ts1-s2-a-lam", "ts1-s1-lam", "nuclear-rank-estimate",
+            "r-min-without-estimate", "ts1-it-rank-estimate", "inpaint-nuclear-a"])
+    def test_unread_setting_is_refused(self, capsys, monkeypatch, command,
+                                       flags, message):
+        monkeypatch.setattr("ts1mc.cli.cells",
+                            lambda *args: pytest.fail("built a problem"))
+        problem = {"solve": ["--m", "30", "--n", "30", "--sr", "0.5"],
+                   "inpaint": ["--sr", "0.5"]}[command]
+        assert cli_main([command, *problem, "--rank", "3", "--max-iters", "40",
+                         *flags]) == 1
+        out = capsys.readouterr()
+        assert (out.out, out.err) == ("", f"ts1mc {command}: {message}\n")
 
     @pytest.mark.parametrize("command", [
         ["gen", "--out", "p"], ["solve", "--m", "30", "--n", "30"],
@@ -146,6 +181,20 @@ class TestSolveIn:
                          "--m", "30"]) == 1
         assert capsys.readouterr().err == (
             "ts1mc solve: --m, --n, --sr, --cov, --seed cannot be set with --in\n")
+
+    # --noise serves only nuclear's default lam: any other solver, or a
+    # nuclear solve given --lam, would ignore it
+    @pytest.mark.parametrize("flags", [
+        [], ["--solver", "ts1-s1"], ["--solver", "nuclear", "--lam", "0.1"]],
+        ids=["default-solver", "ts1-s1", "nuclear-with-lam"])
+    def test_noise_refused_unless_it_sets_the_nuclear_default_lam(
+            self, prefix, capsys, monkeypatch, flags):
+        monkeypatch.setattr("ts1mc.cli.read_matrix_csv",
+                            lambda *args: pytest.fail("read the files"))
+        assert cli_main(["solve", "--in", prefix, "--noise", "0.1", *flags]) == 1
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("ts1mc solve: --noise ")
+        assert "--solver nuclear and no --lam" in out.err
 
     def test_noise_sets_the_nuclear_default_lam(self, prefix, capsys):
         printed = []
@@ -270,16 +319,22 @@ class TestFlagsAndSpec:
         assert _spec(args, Suite.SINGLE) == ExperimentSpec(Suite.SINGLE, trials=1)
 
     def test_set_flags_fill_their_fields(self):
-        args = build_parser().parse_args([
-            "solve", "--m", "30", "--n", "20", "--sr", "0.5", "--cov", "0.2",
-            "--noise", "0.1", "--seed", "4", "--solver", "ts1-s1",
-            "--rank", "3", "--rank-estimate", "6", "--r-min", "2",
-            "--mu", "0.9", "--a", "2", "--lam", "0.1", "--tol", "1e-5",
-            "--max-iters", "7"])
-        assert _spec(args, Suite.SINGLE) == ExperimentSpec(
-            Suite.SINGLE, m=30, n=20, ranks=(3,), sr=0.5, covs=(0.2,),
-            noises=(0.1,), trials=1, solvers=("ts1-s1",), seed=4, mu=0.9,
-            tol=1e-5, max_iters=7, a=2.0, lam=0.1, rank_estimate=6, r_min=2)
+        # no one solver reads every flag: ts1-s1 reads the rank estimate and
+        # a, ts1-it reads a and lam
+        common = ["--m", "30", "--n", "20", "--sr", "0.5", "--cov", "0.2",
+                  "--noise", "0.1", "--seed", "4", "--rank", "3", "--mu", "0.9",
+                  "--a", "2", "--tol", "1e-5", "--max-iters", "7"]
+        fields = dict(m=30, n=20, ranks=(3,), sr=0.5, covs=(0.2,),
+                      noises=(0.1,), trials=1, seed=4, mu=0.9, tol=1e-5,
+                      max_iters=7, a=2.0)
+        for flags, own in [
+                (["--solver", "ts1-s1", "--rank-estimate", "6", "--r-min", "2"],
+                 dict(solvers=("ts1-s1",), rank_estimate=6, r_min=2)),
+                (["--solver", "ts1-it", "--lam", "0.1"],
+                 dict(solvers=("ts1-it",), lam=0.1))]:
+            args = build_parser().parse_args(["solve", *common, *flags])
+            assert _spec(args, Suite.SINGLE) == ExperimentSpec(
+                Suite.SINGLE, **fields, **own)
 
     # Every option named after a spec field, or after the one value of a
     # grid field, is typed by that field.

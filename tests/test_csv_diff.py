@@ -2,6 +2,8 @@ import importlib.util
 from dataclasses import replace
 from pathlib import Path
 
+import pytest
+
 from ts1mc.bench import ExperimentRecord, emit_csv
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -65,3 +67,26 @@ def test_header_mismatch_fails(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert code == 1
     assert len(lines) == 1 and lines[0].startswith("header: ")
+
+
+@pytest.mark.parametrize("content, reason", [
+    (None, "No such file"),
+    ("", "is not a bench CSV"),
+    ("a,b\n1,2\n", "is not a bench CSV"),
+    (b"\xff\xfe\n", "cannot read"),
+], ids=["missing", "empty", "other-csv", "not-ascii"])
+@pytest.mark.parametrize("side", [0, 1], ids=["old", "new"])
+def test_unusable_input_exits_2_naming_it(tmp_path, capsys, content, reason,
+                                          side):
+    paths = [tmp_path / "old.csv", tmp_path / "new.csv"]
+    emit_csv(RECORDS, paths[1 - side])
+    if isinstance(content, bytes):
+        paths[side].write_bytes(content)
+    elif content is not None:
+        paths[side].write_text(content, encoding="ascii")
+    assert csv_diff.main([str(p) for p in paths]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    (line,) = out.err.splitlines()
+    assert line.startswith("csv_diff.py: ") and str(paths[side]) in line
+    assert reason in line

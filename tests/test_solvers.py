@@ -353,6 +353,28 @@ class TestSolve:
         with pytest.raises(ValueError, match="=inf"):
             SolverConfig(**change)
 
+    # Each scheme with a setting it does not read: ts1-s2 derives a and lam
+    # from each spectrum, ts1-s1 derives lam, ts1-it and nuclear keep a
+    # fixed level and have no working rank, and nuclear has no shape a.
+    UNREAD = [(Algorithm.TS1_IT, "rank"), (Algorithm.TS1_S1, "lam"),
+              (Algorithm.TS1_S2, "a"), (Algorithm.TS1_S2, "lam"),
+              (Algorithm.NUCLEAR, "rank"), (Algorithm.NUCLEAR, "a")]
+    SETTINGS = {"rank": KnownRank(2), "a": 2.0, "lam": 0.1}
+
+    def test_unread_list_is_the_complement_of_algorithm_reads(self):
+        assert sorted((alg.value, name) for alg in Algorithm
+                      for name in self.SETTINGS if name not in alg.reads) == (
+            sorted((alg.value, name) for alg, name in self.UNREAD))
+
+    @pytest.mark.parametrize("algorithm, name", UNREAD,
+                             ids=[f"{alg.value}-{name}" for alg, name in UNREAD])
+    def test_unread_setting_refused_when_built(self, algorithm, name):
+        read = {field: self.SETTINGS[field] for field in algorithm.reads}
+        SolverConfig(algorithm=algorithm, **read)
+        with pytest.raises(ValueError,
+                           match=f"^{algorithm.value} does not read {name}$"):
+            SolverConfig(algorithm=algorithm, **read, **{name: self.SETTINGS[name]})
+
     def test_config_validation(self):
         truth, masked = make_problem(20, 20, 2, 0.6, seed=1)
         with pytest.raises(ValueError):

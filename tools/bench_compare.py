@@ -17,6 +17,8 @@ change inside the parent's own run-to-run spread is not named.  A workload
 also regresses when a change run is not correct or the change's runs failed
 a larger share of their operations in total.  Regressions and metrics
 missing from any record are marked, and any of them makes the exit status 1.
+A file that is missing, unreadable or not a BENCH record (a JSON object
+whose ``workloads`` maps names to objects) exits 2 with one line naming it.
 
 ``--claim METRIC WORKLOAD`` also tests a claimed gain in one end-to-end
 metric on one workload.  The i-th parent record is paired with the i-th
@@ -87,6 +89,19 @@ def claim(metric: dict, workload: str, old: list[dict], new: list[dict]
     return line, not missed
 
 
+def load(path: str) -> dict:
+    """The BENCH record in ``path``; ValueError naming ``path``."""
+    try:
+        record = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"cannot read {path}: {exc}") from exc
+    workloads = record.get("workloads") if isinstance(record, dict) else None
+    if not (isinstance(workloads, dict)
+            and all(isinstance(w, dict) for w in workloads.values())):
+        raise ValueError(f"{path} is not a BENCH record: it has no workloads")
+    return record
+
+
 def compare(manifest: dict, old: list[dict], new: list[dict]
             ) -> tuple[list[str], bool]:
     """Table lines for the parent records ``old`` and the change records
@@ -151,7 +166,11 @@ def main(argv: list[str]) -> int:
     if not argv or len(argv) % 2:
         print(USAGE, file=sys.stderr)
         return 2
-    records = [json.loads(Path(p).read_text(encoding="utf-8")) for p in argv]
+    try:
+        records = [load(path) for path in argv]
+    except ValueError as exc:
+        print(f"bench_compare.py: {exc}", file=sys.stderr)
+        return 2
     tags = [record.get("tag", path) for record, path in zip(records, argv)]
     n = len(argv) // 2
     lines, failed = compare(manifest, records[:n], records[n:])

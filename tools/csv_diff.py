@@ -10,7 +10,9 @@ code version or on two that claim identical arithmetic, must agree in those
 columns to the byte.  This prints each differing cell as
 ``row N: column: old -> new`` (row 1 is the first record) and exits 1 on any
 differing cell, a different header or a different row count; it exits 0
-when the files agree.
+when the files agree.  A file that is missing, unreadable or not a bench
+CSV (no header naming ``wall_time_seconds``) exits 2 with one line naming
+it.
 """
 
 import csv
@@ -20,9 +22,16 @@ WALL_TIME = "wall_time_seconds"
 
 
 def read(path: str) -> tuple[list[str], list[list[str]]]:
-    with open(path, newline="", encoding="ascii") as fh:
-        rows = list(csv.reader(fh))
-    return (rows[0], rows[1:]) if rows else ([], [])
+    """The header and rows of a bench CSV; ValueError naming ``path``."""
+    try:
+        with open(path, newline="", encoding="ascii") as fh:
+            rows = list(csv.reader(fh))
+    except (OSError, ValueError, csv.Error) as exc:
+        raise ValueError(f"cannot read {path}: {exc}") from exc
+    if not rows or WALL_TIME not in rows[0]:
+        raise ValueError(f"{path} is not a bench CSV: its header names no "
+                         f"{WALL_TIME} column")
+    return rows[0], rows[1:]
 
 
 def diff(old_path: str, new_path: str) -> list[str]:
@@ -46,7 +55,11 @@ def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print("usage: csv_diff.py OLD.csv NEW.csv", file=sys.stderr)
         return 2
-    lines = diff(*argv)
+    try:
+        lines = diff(*argv)
+    except ValueError as exc:
+        print(f"csv_diff.py: {exc}", file=sys.stderr)
+        return 2
     print("\n".join(lines) if lines else f"equal apart from {WALL_TIME}")
     return 1 if lines else 0
 
